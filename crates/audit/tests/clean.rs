@@ -6,6 +6,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bbmg_audit::{audit_paths, AuditOptions, AuditReport};
 use bbmg_core::{Checkpoint, IncrementalLearner, LearnOptions, OnInconsistent};
@@ -15,8 +16,16 @@ use bbmg_trace::{repair, write_trace, Trace};
 use bbmg_workloads::random::{random_model, RandomModelConfig};
 use proptest::prelude::*;
 
+/// A fresh directory per call: test functions may run concurrently (the
+/// `proptest!` stand-in registers each property twice), so a per-process
+/// name alone would let two runs overwrite each other's artifacts.
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("bbmg-audit-clean-{tag}-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "bbmg-audit-clean-{tag}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     fs::create_dir_all(&dir).expect("scratch dir");
     dir
 }

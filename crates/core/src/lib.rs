@@ -54,7 +54,6 @@ mod checkpoint;
 mod convergence;
 mod error;
 mod history;
-mod hypothesis;
 mod incremental;
 mod learner;
 mod matching;
@@ -74,7 +73,6 @@ pub use checkpoint::{
 };
 pub use convergence::{convergence_timeline, convergence_timeline_with, ConvergencePoint};
 pub use error::LearnError;
-pub use hypothesis::Hypothesis;
 pub use incremental::IncrementalLearner;
 pub use learner::{
     learn, learn_with, LearnResult, Learner, BOUNDED_BRANCH_WORDS, BUDGET_SAMPLE_INTERVAL,

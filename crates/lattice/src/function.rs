@@ -58,6 +58,22 @@ fn words_for(tasks: usize) -> usize {
     (tasks * tasks).div_ceil(CELLS_PER_WORD)
 }
 
+/// splitmix64-style mixing folded over `words`, seeded with the dimension
+/// so bottoms of different sizes differ: the fingerprint of a packed store
+/// and, pair set included, of a [`FunctionArena`](crate::FunctionArena)
+/// row.
+pub(crate) fn fingerprint_words(tasks: usize, words: &[u64]) -> u64 {
+    let mut h = (tasks as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for &w in words {
+        h ^= w;
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= h >> 27;
+        h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^= h >> 31;
+    }
+    h
+}
+
 /// Why a serialized packed store was rejected by
 /// [`DependencyFunction::from_words`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -369,17 +385,7 @@ impl DependencyFunction {
     /// collections and threads within one process run.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        // splitmix64-style mixing folded over the words, seeded with the
-        // dimension so bottoms of different sizes differ.
-        let mut h = (self.tasks as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        for &w in &self.words {
-            h ^= w;
-            h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            h ^= h >> 27;
-            h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
-            h ^= h >> 31;
-        }
-        h
+        fingerprint_words(self.tasks, &self.words)
     }
 
     /// Pointwise lattice distance between two functions:

@@ -26,12 +26,17 @@
 //!   `F` and `B` both cleared (the one invalid code `100` normalizes to
 //!   `‖`, which is the correct meet),
 //! * `distance(v) = (F + B + Q)²` (0/1/4/9 per paper Definition 7), so a
-//!   word's total weight is six popcounts.
+//!   word's total weight is six popcounts,
+//! * execution weakening (`→` to `→?`, `←` to `←?`, `↔` to `↔?` on the
+//!   cells a period selects) sets `Q` wherever `F` or `B` is set under a
+//!   per-period cell mask.
 //!
 //! Every kernel is validated against the scalar [`DependencyValue`] table
 //! code by the unit tests below (exhaustive over all 7×7 cell pairs) and
 //! by the `packed_prop` property suite at the crate root.
 
+use crate::task::TaskId;
+use crate::taskset::TaskSet;
 use crate::value::DependencyValue;
 
 /// Bits per matrix cell.
@@ -156,10 +161,71 @@ pub fn word_lattice_distance(a: u64, b: u64) -> u64 {
     word_weight(word_join(a, b)) - word_weight(word_meet(a, b))
 }
 
+/// Execution weakening of one word: every cell whose `F` bit is set in
+/// `mask` and that holds a directional claim (`F` or `B` set) gains `Q`,
+/// turning `→`, `←`, `↔` into `→?`, `←?`, `↔?`. `‖` and the conditional
+/// values are fixed points, so the kernel is idempotent.
+#[inline]
+#[must_use]
+pub fn word_weaken(w: u64, mask: u64) -> u64 {
+    w | (((w | (w >> 1)) & FORWARD_PLANE & mask) << 2)
+}
+
+/// The per-period cell mask for [`word_weaken`] over the packed `n × n`
+/// matrix of `executed`'s universe: the `F` bit of every cell `(a, b)`
+/// with `a` executed and `b` not. The diagonal is never selected.
+#[must_use]
+pub fn weakening_mask(executed: &TaskSet) -> Vec<u64> {
+    let n = executed.universe();
+    let mut mask = vec![0u64; (n * n).div_ceil(CELLS_PER_WORD)];
+    for a in executed.iter() {
+        for b in 0..n {
+            if !executed.contains(TaskId::from_index(b)) {
+                let cell = a.index() * n + b;
+                mask[cell / CELLS_PER_WORD] |= 1 << (BITS_PER_CELL * (cell % CELLS_PER_WORD));
+            }
+        }
+    }
+    mask
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::ALL_VALUES;
+
+    #[test]
+    fn weaken_matches_the_scalar_rule_on_every_value() {
+        use DependencyValue as V;
+        for v in ALL_VALUES {
+            let weakened = match v {
+                V::Determines => V::MayDetermine,
+                V::DependsOn => V::MayDependOn,
+                V::Mutual => V::MayMutual,
+                other => other,
+            };
+            assert_eq!(
+                decode(word_weaken(encode(v), FORWARD_PLANE)),
+                weakened,
+                "{v}"
+            );
+            assert_eq!(decode(word_weaken(encode(v), 0)), v, "{v} unmasked");
+        }
+        // Lane independence: only the masked lane moves.
+        let both = encode(V::Determines) | (encode(V::Mutual) << BITS_PER_CELL);
+        let w = word_weaken(both, 1 << BITS_PER_CELL);
+        assert_eq!(decode(w), V::Determines);
+        assert_eq!(decode(w >> BITS_PER_CELL), V::MayMutual);
+    }
+
+    #[test]
+    fn weakening_mask_selects_executed_rows_and_absent_columns() {
+        let executed = TaskSet::from_ids(3, [TaskId::from_index(0), TaskId::from_index(2)]);
+        let mask = weakening_mask(&executed);
+        // Only (0,1) and (2,1): cells 1 and 7.
+        assert_eq!(mask, vec![(1 << 3) | (1 << 21)]);
+        assert_eq!(weakening_mask(&TaskSet::full(3)), vec![0]);
+    }
 
     #[test]
     fn encode_decode_round_trip() {

@@ -6,12 +6,14 @@
 //! kernels (`bbmg_lattice::packed`). These tests pin each matrix-level
 //! operation to a scalar reference computed cell by cell with the original
 //! table-driven `DependencyValue` operations, over random matrices sized to
-//! straddle word boundaries (n = 3 → 9 cells, n = 5 → 25, n = 9 → 81).
+//! straddle word boundaries (n = 3 → 9 cells, n = 5 → 25, n = 9 → 81). The
+//! execution-weakening kernel is pinned to the learner's original scalar
+//! per-cell rule the same way.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use bbmg_lattice::{packed, DependencyFunction, DependencyValue, TaskId, ALL_VALUES};
+use bbmg_lattice::{packed, DependencyFunction, DependencyValue, TaskId, TaskSet, ALL_VALUES};
 use proptest::prelude::*;
 
 fn value_strategy() -> impl Strategy<Value = DependencyValue> {
@@ -52,6 +54,46 @@ fn hash_of(d: &DependencyFunction) -> u64 {
     let mut h = DefaultHasher::new();
     d.hash(&mut h);
     h.finish()
+}
+
+/// The scalar execution-weakening rule: for every executed `t1` and
+/// non-executed `t2 ≠ t1`, an unconditional claim `d(t1, t2)` weakens one
+/// step (`→` to `→?`, `←` to `←?`, `↔` to `↔?`).
+fn scalar_weaken(d: &DependencyFunction, executed: &TaskSet) -> DependencyFunction {
+    let n = d.task_count();
+    let mut out = d.clone();
+    for i in 0..n {
+        let t1 = TaskId::from_index(i);
+        if !executed.contains(t1) {
+            continue;
+        }
+        for j in 0..n {
+            let t2 = TaskId::from_index(j);
+            if i == j || executed.contains(t2) {
+                continue;
+            }
+            let weakened = match out.value(t1, t2) {
+                DependencyValue::Determines => DependencyValue::MayDetermine,
+                DependencyValue::DependsOn => DependencyValue::MayDependOn,
+                DependencyValue::Mutual => DependencyValue::MayMutual,
+                other => other,
+            };
+            out.set(t1, t2, weakened);
+        }
+    }
+    out
+}
+
+/// A random function plus a random executed subset of its universe.
+fn function_and_executed() -> impl Strategy<Value = (DependencyFunction, TaskSet)> {
+    prop::sample::select(vec![3usize, 5, 9]).prop_flat_map(|n| {
+        (
+            function_strategy(n),
+            prop::collection::vec(any::<bool>(), n).prop_map(move |ran| {
+                TaskSet::from_ids(n, (0..n).filter(|&i| ran[i]).map(TaskId::from_index))
+            }),
+        )
+    })
 }
 
 /// A same-size pair of random functions, sized to straddle word
@@ -118,6 +160,22 @@ proptest! {
             prop_assert_eq!(hash_of(&a), hash_of(&b));
             prop_assert_eq!(a.fingerprint(), b.fingerprint());
         }
+    }
+
+    #[test]
+    fn weaken_kernel_matches_scalar_rule(
+        (d, executed) in function_and_executed()
+    ) {
+        let mask = packed::weakening_mask(&executed);
+        let words: Vec<u64> = d
+            .packed_words()
+            .iter()
+            .zip(&mask)
+            .map(|(&w, &m)| packed::word_weaken(w, m))
+            .collect();
+        let weakened = DependencyFunction::from_words(d.task_count(), words)
+            .expect("weakening keeps the store valid");
+        prop_assert_eq!(weakened, scalar_weaken(&d, &executed));
     }
 
     #[test]
