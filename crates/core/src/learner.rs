@@ -365,6 +365,15 @@ impl Learner {
                 &candidates,
                 &joins,
             )?;
+            #[cfg(feature = "debug-invariants")]
+            if let Some(row) = set.first_stale_row() {
+                panic!(
+                    "debug-invariants[period {}, message {}]: row {row} of the message store \
+                     has a stale cached weight or row hash",
+                    period.index(),
+                    message.id.index()
+                );
+            }
             observer.message_branch(
                 period.index(),
                 message.id.index(),

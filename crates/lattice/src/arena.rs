@@ -4,7 +4,7 @@
 //! A [`FunctionArena`] holds every row of a working set in **one
 //! contiguous `u64` buffer** — row `i` occupies the word range
 //! `[i·w, (i+1)·w)` — plus parallel columns caching each row's weight and
-//! fingerprint. A row is the packed function words, optionally followed
+//! row hash. A row is the packed function words, optionally followed
 //! by an `n²`-bit *pair set*: the (sender, receiver) pairs the learner
 //! assumed for the current period's messages
 //! ([`with_pair_sets`](FunctionArena::with_pair_sets)). Whole-set
@@ -15,13 +15,21 @@
 //!
 //! * [`push_child`](FunctionArena::push_child) copies a parent row,
 //!   joins two cells and sets one pair bit; its weight is the parent's
-//!   plus the change in those two cells;
+//!   plus the change in those two cells, and its row hash the parent's
+//!   updated for the (at most three) words that changed;
 //! * [`push_merge`](FunctionArena::push_merge) appends the word-wise OR
 //!   of two rows' function words with the AND (or OR) of their pair sets;
 //! * [`index_last`](FunctionArena::index_last) deduplicates the newest
-//!   row against a fingerprint-first index (a `HashMap<u64, u32>` head
-//!   plus a per-row chain column), confirming a hit by full-row equality.
-//!   Only rows passed through it are dedup keys.
+//!   row against a hash-first index (a `HashMap<u64, u32>` head plus a
+//!   per-row chain column), confirming a hit by full-row equality. Only
+//!   rows passed through it are dedup keys.
+//!
+//! The row hash is private to the arena and never persisted: the XOR over
+//! the row's words of a splitmix64 mix of each word with its position,
+//! so changing one word moves it by two mixes. The persisted
+//! [`DependencyFunction::fingerprint`] is a serial fold over every word,
+//! which a child could only get by rehashing its whole row;
+//! [`fingerprint`](FunctionArena::fingerprint) computes it on demand.
 //!
 //! Read-only sweeps take `&self`, so the learner can wrap an arena in an
 //! `Arc` and let pool workers scan or branch from disjoint index ranges
@@ -32,7 +40,8 @@ use std::collections::HashMap;
 
 use crate::function::{fingerprint_words, DependencyFunction};
 use crate::packed::{
-    encode, word_join, word_leq, word_weaken, word_weight, BITS_PER_CELL, CELLS_PER_WORD, CELL_MASK,
+    encode, word_join, word_leq, word_weaken, word_weight, BITS_PER_CELL, CELLS_PER_WORD,
+    CELL_MASK, CODE_DISTANCE,
 };
 use crate::task::TaskId;
 use crate::value::DependencyValue;
@@ -40,15 +49,15 @@ use crate::value::DependencyValue;
 /// End of a dedup chain, and the link of every row outside the index.
 const NO_ROW: u32 = u32::MAX;
 
-/// The link of a merged row whose fingerprint is not computed yet: the
+/// The link of a merged row whose row hash is not computed yet: the
 /// learner never uses merged rows as dedup keys, so their hash is
-/// deferred until something asks for it.
+/// deferred until the row is copied into a parent store or indexed.
 const UNHASHED: u32 = u32::MAX - 1;
 
 /// A packed structure-of-arrays store of same-universe
 /// [`DependencyFunction`] rows (optionally with a pair set each): one
-/// contiguous word buffer plus parallel cached-weight and fingerprint
-/// columns and a fingerprint-first dedup index.
+/// contiguous word buffer plus parallel cached-weight and row-hash
+/// columns and a hash-first dedup index.
 ///
 /// # Example
 ///
@@ -75,12 +84,13 @@ pub struct FunctionArena {
     row_words: usize,
     words: Vec<u64>,
     weights: Vec<u64>,
-    fingerprints: Vec<u64>,
-    /// Dedup index: fingerprint → most recently indexed row carrying it.
+    /// Per row: its [`row_hash`], or 0 while deferred.
+    hashes: Vec<u64>,
+    /// Dedup index: row hash → most recently indexed row carrying it.
     heads: HashMap<u64, u32>,
-    /// Per row: the previously indexed row with the same fingerprint
-    /// ([`NO_ROW`] at the end of a chain and for unindexed rows,
-    /// [`UNHASHED`] for a merged row whose fingerprint is deferred).
+    /// Per row: the previously indexed row with the same hash ([`NO_ROW`]
+    /// at the end of a chain and for unindexed rows, [`UNHASHED`] for a
+    /// merged row whose hash is deferred).
     chain: Vec<u32>,
 }
 
@@ -107,7 +117,7 @@ impl FunctionArena {
             row_words: stride + pair_words,
             words: Vec::new(),
             weights: Vec::new(),
-            fingerprints: Vec::new(),
+            hashes: Vec::new(),
             heads: HashMap::new(),
             chain: Vec::new(),
         }
@@ -218,16 +228,34 @@ impl FunctionArena {
 
     /// The fingerprint of the whole row `i`, pair set included. For plain
     /// rows it equals the function's [`DependencyFunction::fingerprint`].
-    /// Cached on append, except for merged rows, whose fingerprint is
-    /// computed on demand.
-    #[inline]
+    /// Computed on demand: the dedup index keys on the cheaper row hash.
     #[must_use]
     pub fn fingerprint(&self, i: usize) -> u64 {
+        fingerprint_words(self.tasks, self.slot(i))
+    }
+
+    /// Row `i`'s hash: the cached one, or computed now if it is deferred.
+    #[inline]
+    fn hash_of(&self, i: usize) -> u64 {
         if self.chain[i] == UNHASHED {
-            fingerprint_words(self.tasks, self.slot(i))
+            row_hash(self.tasks, self.slot(i))
         } else {
-            self.fingerprints[i]
+            self.hashes[i]
         }
+    }
+
+    /// The first row whose cached weight, or (unless deferred) row hash,
+    /// differs from a recomputation from its words; `None` when every
+    /// cached column is current. A consistency check for tests and the
+    /// learner's `debug-invariants` hook.
+    #[must_use]
+    pub fn first_stale_row(&self) -> Option<usize> {
+        (0..self.len()).find(|&i| {
+            let weight: u64 = self.row(i).iter().map(|&w| word_weight(w)).sum();
+            weight != self.weights[i]
+                || (self.chain[i] != UNHASHED
+                    && self.hashes[i] != row_hash(self.tasks, self.slot(i)))
+        })
     }
 
     /// The whole cached-weight column, index-aligned with the rows (for
@@ -242,17 +270,16 @@ impl FunctionArena {
     pub fn clear(&mut self) {
         self.words.clear();
         self.weights.clear();
-        self.fingerprints.clear();
+        self.hashes.clear();
         self.heads.clear();
         self.chain.clear();
     }
 
-    /// Records the row just written to the end of `words`: its weight,
-    /// the fingerprint of the whole row, no dedup chain yet.
-    fn seal_last(&mut self, weight: u64) -> usize {
-        let row = &self.words[self.words.len() - self.row_words..];
+    /// Records the row just written to the end of `words` with its
+    /// weight and row hash, no dedup chain yet.
+    fn seal_last(&mut self, weight: u64, hash: u64) -> usize {
         self.weights.push(weight);
-        self.fingerprints.push(fingerprint_words(self.tasks, row));
+        self.hashes.push(hash);
         self.chain.push(NO_ROW);
         self.weights.len() - 1
     }
@@ -268,7 +295,8 @@ impl FunctionArena {
         self.words.extend_from_slice(d.packed_words());
         self.words
             .resize(self.words.len() + self.row_words - self.stride, 0);
-        self.seal_last(d.weight())
+        let hash = row_hash(self.tasks, &self.words[self.words.len() - self.row_words..]);
+        self.seal_last(d.weight(), hash)
     }
 
     /// Appends `d` unless an equal row is already indexed (see
@@ -283,9 +311,10 @@ impl FunctionArena {
         self.index_last()
     }
 
-    /// Appends a copy of `other`'s row `i` with its cached weight and
-    /// fingerprint (unindexed; a deferred fingerprint stays deferred),
-    /// returning its index.
+    /// Appends a copy of `other`'s row `i` with its cached weight and row
+    /// hash (unindexed), returning its index. A merged row's deferred hash
+    /// is computed here, so every row of a store that was filled by
+    /// copying can parent children.
     ///
     /// # Panics
     ///
@@ -296,14 +325,7 @@ impl FunctionArena {
             "mismatched arena layouts"
         );
         self.words.extend_from_slice(other.slot(i));
-        self.weights.push(other.weights[i]);
-        self.fingerprints.push(other.fingerprints[i]);
-        self.chain.push(if other.chain[i] == UNHASHED {
-            UNHASHED
-        } else {
-            NO_ROW
-        });
-        self.weights.len() - 1
+        self.seal_last(other.weights[i], other.hash_of(i))
     }
 
     /// Appends the child of `parent`'s row `i` that explains a message
@@ -311,8 +333,10 @@ impl FunctionArena {
     /// `forward` joined into cell `(sender, receiver)`, `backward` joined
     /// into `(receiver, sender)`, and the pair `(sender, receiver)` added
     /// to its pair set (the learner's `d1jk` step, paper §3.1). The weight
-    /// is the parent's plus the change in those two cells. Returns the
-    /// child's (unindexed) index.
+    /// is the parent's plus the change in those two cells, and the row
+    /// hash is the parent's with the changed words' mixes swapped, so a
+    /// child costs O(1) beyond the row copy. Returns the child's
+    /// (unindexed) index.
     ///
     /// # Panics
     ///
@@ -338,18 +362,30 @@ impl FunctionArena {
         let row = &mut self.words[start..];
         let forward_cell = bit;
         let backward_cell = receiver.index() * self.tasks + sender.index();
+        let (fw, bw, pw) = (
+            forward_cell / CELLS_PER_WORD,
+            backward_cell / CELLS_PER_WORD,
+            self.stride + bit / 64,
+        );
+        let (old_f, old_b, old_p) = (row[fw], row[bw], row[pw]);
         let grown = join_cell(row, forward_cell, encode(forward))
             + join_cell(row, backward_cell, encode(backward));
-        row[self.stride + bit / 64] |= 1 << (bit % 64);
-        self.seal_last(parent.weights[i] + grown)
+        row[pw] |= 1 << (bit % 64);
+        // When both cells share a word, `row[fw]` already holds both joins.
+        let mut hash = parent.hash_of(i) ^ rehash(fw, old_f, row[fw]) ^ rehash(pw, old_p, row[pw]);
+        if bw != fw {
+            hash ^= rehash(bw, old_b, row[bw]);
+        }
+        self.seal_last(parent.weights[i] + grown, hash)
     }
 
     /// Appends the bounded heuristic's merge of rows `a` and `b` (paper
     /// §3.2): the least upper bound of their functions (word-wise OR),
     /// with the intersection of their pair sets, or the union if `union`.
-    /// Its weight is computed from the merged words; its fingerprint is
-    /// deferred, as merged rows are not dedup keys in the learner. Returns
-    /// the merged (unindexed) row's index.
+    /// Its weight is computed from the merged words; its row hash is
+    /// deferred, as merged rows are not dedup keys in the learner (see
+    /// [`push_copy`](Self::push_copy)). Returns the merged (unindexed)
+    /// row's index.
     pub fn push_merge(&mut self, a: usize, b: usize, union: bool) -> usize {
         let rw = self.row_words;
         let start = self.words.len();
@@ -366,7 +402,7 @@ impl FunctionArena {
             *x = if union { *x | y } else { *x & y };
         }
         self.weights.push(weight);
-        self.fingerprints.push(0);
+        self.hashes.push(0);
         self.chain.push(UNHASHED);
         self.weights.len() - 1
     }
@@ -374,9 +410,9 @@ impl FunctionArena {
     /// Deduplicates the newest row: if an indexed row equals it word for
     /// word (function *and* pair set), the newest row is removed and
     /// `Err(index)` of that row returned; otherwise the newest row joins
-    /// the index and `Ok(index)` is returned. Lookup is fingerprint-first:
-    /// full rows are compared only along the chain of rows sharing the
-    /// fingerprint.
+    /// the index and `Ok(index)` is returned. Lookup is hash-first: full
+    /// rows are compared only along the chain of rows sharing the row
+    /// hash.
     ///
     /// # Panics
     ///
@@ -387,10 +423,8 @@ impl FunctionArena {
             .checked_sub(1)
             .expect("index_last on an empty arena");
         let rw = self.row_words;
-        if self.chain[last] == UNHASHED {
-            self.fingerprints[last] = fingerprint_words(self.tasks, self.slot(last));
-        }
-        let duplicate = match self.heads.entry(self.fingerprints[last]) {
+        self.hashes[last] = self.hash_of(last);
+        let duplicate = match self.heads.entry(self.hashes[last]) {
             Entry::Vacant(slot) => {
                 slot.insert(row_id(last));
                 self.chain[last] = NO_ROW;
@@ -415,7 +449,7 @@ impl FunctionArena {
             Some(existing) => {
                 self.words.truncate(last * rw);
                 self.weights.pop();
-                self.fingerprints.pop();
+                self.hashes.pop();
                 self.chain.pop();
                 Err(existing)
             }
@@ -426,7 +460,7 @@ impl FunctionArena {
     /// Execution weakening of every row (see
     /// [`word_weaken`]) under a per-period
     /// cell mask of [`stride`](Self::stride) words, refreshing the weight
-    /// and fingerprint columns. The dedup index is dropped.
+    /// and row-hash columns. The dedup index is dropped.
     ///
     /// # Panics
     ///
@@ -442,8 +476,8 @@ impl FunctionArena {
         self.refresh();
     }
 
-    /// Empties every row's pair set, refreshing the fingerprint column.
-    /// The dedup index is dropped.
+    /// Empties every row's pair set, refreshing the row-hash column. The
+    /// dedup index is dropped.
     pub fn clear_pairs(&mut self) {
         for i in 0..self.len() {
             let start = i * self.row_words;
@@ -458,7 +492,7 @@ impl FunctionArena {
         for i in 0..self.len() {
             let row = &self.words[i * self.row_words..(i + 1) * self.row_words];
             self.weights[i] = row[..self.stride].iter().map(|&w| word_weight(w)).sum();
-            self.fingerprints[i] = fingerprint_words(self.tasks, row);
+            self.hashes[i] = row_hash(self.tasks, row);
         }
         self.heads.clear();
         self.chain.fill(NO_ROW);
@@ -550,7 +584,37 @@ fn join_cell(row: &mut [u64], cell: usize, code: u64) -> u64 {
     let shift = BITS_PER_CELL * (cell % CELLS_PER_WORD);
     let old = (*word >> shift) & CELL_MASK;
     *word |= code << shift;
-    word_weight(old | code) - word_weight(old)
+    CODE_DISTANCE[(old | code) as usize] - CODE_DISTANCE[old as usize]
+}
+
+/// The full splitmix64 finalizer of word `w` at row position `j`: a
+/// bijection in `w` for each `j`, so rows that differ in one word never
+/// share a [`row_hash`].
+#[inline]
+fn mix(j: usize, w: u64) -> u64 {
+    let mut z = w ^ (j as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The dedup index's hash of a whole row: a per-universe seed XORed with
+/// [`mix`] of every word at its position.
+fn row_hash(tasks: usize, row: &[u64]) -> u64 {
+    row.iter().enumerate().fold(
+        (tasks as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        |h, (j, &w)| h ^ mix(j, w),
+    )
+}
+
+/// How a [`row_hash`] moves when word `j` changes from `old` to `new`.
+#[inline]
+fn rehash(j: usize, old: u64, new: u64) -> u64 {
+    if old == new {
+        0
+    } else {
+        mix(j, old) ^ mix(j, new)
+    }
 }
 
 #[cfg(test)]
@@ -650,6 +714,39 @@ mod tests {
         unique.push_copy(&next, plain);
         assert_eq!(unique.index_last(), Err(0));
         assert_eq!(unique.len(), 1);
+    }
+
+    #[test]
+    fn every_single_cell_change_moves_the_row_hash() {
+        // 7 tasks: three function words (49 live lanes of 63) and one
+        // pair-set word. Every code change in every lane, padding lanes
+        // included, moves the hash, and by exactly `rehash`.
+        let mut arena = FunctionArena::with_pair_sets(7);
+        arena.push(&scrambled(7, 3));
+        let base = arena.slot(0).to_vec();
+        assert_eq!(arena.hashes[0], row_hash(7, &base));
+        for j in 0..arena.stride() {
+            for lane in 0..CELLS_PER_WORD {
+                let shift = BITS_PER_CELL * lane;
+                for old in 0..=CELL_MASK {
+                    let mut before = base.clone();
+                    before[j] = (before[j] & !(CELL_MASK << shift)) | (old << shift);
+                    let hash = row_hash(7, &before);
+                    for new in (0..=CELL_MASK).filter(|&new| new != old) {
+                        let mut after = before.clone();
+                        after[j] ^= (old ^ new) << shift;
+                        let moved = row_hash(7, &after);
+                        assert_ne!(moved, hash, "word {j} lane {lane}: {old:03b} -> {new:03b}");
+                        assert_eq!(moved, hash ^ rehash(j, before[j], after[j]));
+                    }
+                }
+            }
+        }
+        for bit in 0..49 {
+            let mut after = base.clone();
+            after[arena.stride()] ^= 1 << bit;
+            assert_ne!(row_hash(7, &after), row_hash(7, &base), "pair bit {bit}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   dependency functions are dense matrices indexed by small integers.
 //! * [`FunctionArena`] — a structure-of-arrays store packing whole *sets*
 //!   of dependency functions into one contiguous word buffer (plus cached
-//!   weight/fingerprint columns and a dedup index), optionally with a
+//!   weight/row-hash columns and a dedup index), optionally with a
 //!   per-row set of assumed (sender, receiver) pairs: the learner's
 //!   per-period hypothesis store, whose branch, merge and dedup steps and
 //!   set-level sweeps run as row kernels over adjacent words.

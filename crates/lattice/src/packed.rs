@@ -26,7 +26,7 @@
 //!   `F` and `B` both cleared (the one invalid code `100` normalizes to
 //!   `‖`, which is the correct meet),
 //! * `distance(v) = (F + B + Q)²` (0/1/4/9 per paper Definition 7), so a
-//!   word's total weight is six popcounts,
+//!   word's total weight is two popcounts (see [`word_weight`]),
 //! * execution weakening (`→` to `→?`, `←` to `←?`, `↔` to `↔?` on the
 //!   cells a period selects) sets `Q` wherever `F` or `B` is set under a
 //!   per-period cell mask.
@@ -138,17 +138,24 @@ pub fn word_meet(a: u64, b: u64) -> u64 {
 ///
 /// With `s = F + B + Q` bits set in a cell, the distance is `s²`
 /// (`‖`→0, `→`/`←`→1, `↔`/`→?`/`←?`→4, `↔?`→9), and
-/// `s² = s + 2(FB + FQ + BQ)`, so the word total is six popcounts.
+/// `s² = s + 2(FB + FQ + BQ)`. The singles are one popcount of the whole
+/// word. With the three planes shifted into the `F` lane, the pair terms
+/// `FB`, `FQ << 1` and `BQ << 2` land in disjoint lanes, so one more
+/// popcount counts all three.
 #[inline]
 #[must_use]
 pub fn word_weight(w: u64) -> u64 {
     let f = w & FORWARD_PLANE;
     let b = (w >> 1) & FORWARD_PLANE;
     let q = (w >> 2) & FORWARD_PLANE;
-    let singles = f.count_ones() + b.count_ones() + q.count_ones();
-    let pairs = (f & b).count_ones() + (f & q).count_ones() + (b & q).count_ones();
-    u64::from(singles) + 2 * u64::from(pairs)
+    let pairs = (f & b) | ((f & q) << 1) | ((b & q) << 2);
+    u64::from(w.count_ones()) + 2 * u64::from(pairs.count_ones())
 }
+
+/// [`DependencyValue::distance`] indexed by cube code: `(F + B + Q)²`,
+/// the per-cell term of [`word_weight`] (the unused code `100` reads 1,
+/// as it does there).
+pub(crate) const CODE_DISTANCE: [u64; 8] = [0, 1, 1, 4, 1, 4, 4, 9];
 
 /// `Σ distance(a ⊔ b) − distance(a ⊓ b)` over one word's cells — the
 /// per-word contribution to
@@ -292,6 +299,13 @@ mod tests {
             word_lattice_distance(wa, wb),
             word_weight(word_join(wa, wb)) - word_weight(word_meet(wa, wb))
         );
+    }
+
+    #[test]
+    fn code_distance_is_the_weight_of_every_code() {
+        for (code, &distance) in CODE_DISTANCE.iter().enumerate() {
+            assert_eq!(distance, word_weight(code as u64), "code {code:03b}");
+        }
     }
 
     #[test]

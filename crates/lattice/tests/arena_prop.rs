@@ -2,7 +2,7 @@
 //! against the per-hypothesis packed kernels.
 //!
 //! The arena packs whole sets of dependency functions into one contiguous
-//! word buffer with cached weight/fingerprint columns, and answers
+//! word buffer with cached weight/row-hash columns, and answers
 //! set-level queries (`leq`, `dominated_in_prefix`, `join_all`,
 //! `push_unique`) as batched sweeps over adjacent words. Each batched
 //! kernel must agree exactly with the per-function packed operations on
@@ -15,12 +15,30 @@
 //! model at 7, 8 and 9 tasks (49, 64 and 81 bits straddle a word), a
 //! child row against `join_value` on the parent function with its
 //! incrementally updated weight against a recomputed `weight()`, and a
-//! merge row against `join`, including its deferred fingerprint.
+//! merge row against `join`, including its fingerprint and deferred
+//! row hash.
+//!
+//! The row hash the dedup index keys on is pinned through
+//! [`FunctionArena::first_stale_row`], which recomputes every cached
+//! weight and row hash from the words: children derive theirs from the
+//! parent in O(1) at 7, 8, 9 and 18 tasks (pair sets included, shared
+//! cell words and unchanged words among them), copied merges and
+//! weakened or cleared rows carry current ones, and equal rows built by
+//! different paths dedup against each other, so they hash equal. The
+//! exhaustive single-cell sweep at 7 tasks sits beside the private hash
+//! in `arena.rs`.
 
 use std::collections::BTreeSet;
 
-use bbmg_lattice::{DependencyFunction, DependencyValue, FunctionArena, TaskId, ALL_VALUES};
+use bbmg_lattice::packed::weakening_mask;
+use bbmg_lattice::{
+    DependencyFunction, DependencyValue, FunctionArena, TaskId, TaskSet, ALL_VALUES,
+};
 use proptest::prelude::*;
+
+fn t(i: usize) -> TaskId {
+    TaskId::from_index(i)
+}
 
 fn value_strategy() -> impl Strategy<Value = DependencyValue> {
     prop::sample::select(ALL_VALUES.to_vec())
@@ -67,20 +85,27 @@ fn pair_list_pairs() -> impl Strategy<Value = (usize, Pairs, Pairs)> {
         .prop_flat_map(|n| (Just(n), pair_lists(n), pair_lists(n)))
 }
 
-/// Chains children from a bottom root, one per pair, returning the last
-/// row (the root if `pairs` is empty).
-fn assume_all(arena: &mut FunctionArena, pairs: &[(usize, usize)]) -> usize {
-    let mut row = arena.push(&DependencyFunction::bottom(arena.task_count()));
+/// A message's joins: `→` forward and `←` backward.
+const MESSAGE: (DependencyValue, DependencyValue) =
+    (DependencyValue::Determines, DependencyValue::DependsOn);
+
+/// `‖` joins, which set a pair bit and leave the function as it is.
+const PAIR_ONLY: (DependencyValue, DependencyValue) =
+    (DependencyValue::Parallel, DependencyValue::Parallel);
+
+/// Pushes `root` and chains children from it, one per pair, each joining
+/// `(forward, backward)`; returns the last row (the root if `pairs` is
+/// empty).
+fn assume_all(
+    arena: &mut FunctionArena,
+    root: &DependencyFunction,
+    pairs: &[(usize, usize)],
+    (forward, backward): (DependencyValue, DependencyValue),
+) -> usize {
+    let mut row = arena.push(root);
     for &(s, r) in pairs {
         let parent = arena.clone();
-        row = arena.push_child(
-            &parent,
-            row,
-            TaskId::from_index(s),
-            TaskId::from_index(r),
-            DependencyValue::Determines,
-            DependencyValue::DependsOn,
-        );
+        row = arena.push_child(&parent, row, t(s), t(r), forward, backward);
     }
     row
 }
@@ -105,13 +130,44 @@ type ChildCase = (
 
 /// A random function over `n` tasks with a random off-diagonal cell and
 /// two random join values.
+fn child_case(n: usize) -> impl Strategy<Value = ChildCase> {
+    (
+        function_strategy(n),
+        (0..n, 1..n).prop_map(move |(s, k)| (s, (s + k) % n)),
+        value_strategy(),
+        value_strategy(),
+    )
+}
+
+/// [`child_case`] over 3, 5, 7 or 9 tasks.
 fn function_and_cell() -> impl Strategy<Value = ChildCase> {
-    prop::sample::select(vec![3usize, 5, 7, 9]).prop_flat_map(|n| {
+    prop::sample::select(vec![3usize, 5, 7, 9]).prop_flat_map(child_case)
+}
+
+/// [`child_case`] over 7, 8, 9 or 18 tasks (pair sets of 49, 64, 81 and
+/// 324 bits), plus the pairs the parent row has already assumed.
+fn hash_case() -> impl Strategy<Value = (ChildCase, Pairs)> {
+    prop::sample::select(vec![7usize, 8, 9, 18]).prop_flat_map(|n| (child_case(n), pair_lists(n)))
+}
+
+/// Two random functions over 7, 8, 9 or 18 tasks, the pairs each row has
+/// assumed, and which tasks executed.
+fn merge_case() -> impl Strategy<
+    Value = (
+        DependencyFunction,
+        DependencyFunction,
+        Pairs,
+        Pairs,
+        Vec<bool>,
+    ),
+> {
+    prop::sample::select(vec![7usize, 8, 9, 18]).prop_flat_map(|n| {
         (
             function_strategy(n),
-            (0..n, 1..n).prop_map(move |(s, k)| (s, (s + k) % n)),
-            value_strategy(),
-            value_strategy(),
+            function_strategy(n),
+            pair_lists(n),
+            pair_lists(n),
+            prop::collection::vec(any::<bool>(), n),
         )
     })
 }
@@ -122,8 +178,9 @@ proptest! {
         (n, left, right) in pair_list_pairs()
     ) {
         let mut arena = FunctionArena::with_pair_sets(n);
-        let a = assume_all(&mut arena, &left);
-        let b = assume_all(&mut arena, &right);
+        let bottom = DependencyFunction::bottom(n);
+        let a = assume_all(&mut arena, &bottom, &left, MESSAGE);
+        let b = assume_all(&mut arena, &bottom, &right, MESSAGE);
         let model_a: BTreeSet<(usize, usize)> = left.iter().copied().collect();
         let model_b: BTreeSet<(usize, usize)> = right.iter().copied().collect();
         prop_assert_eq!(&members(&arena, a), &model_a);
@@ -183,8 +240,9 @@ proptest! {
             prop_assert_eq!(&arena.get(merged), &expected);
             prop_assert_eq!(arena.weight(merged), expected.weight());
 
-            // The merged row's deferred fingerprint is the one an equal
-            // pushed row gets, and once indexed it catches that row.
+            // The merged row's fingerprint is the one an equal pushed row
+            // gets, and once indexed, which computes its deferred row
+            // hash, it catches that row.
             let mut fresh = arena.empty_like();
             let same = fresh.push(&expected);
             prop_assert_eq!(arena.fingerprint(merged), fresh.fingerprint(same));
@@ -288,5 +346,108 @@ proptest! {
             }
         }
         prop_assert_eq!(arena.len(), reference.len());
+    }
+
+    #[test]
+    fn child_rows_carry_the_recomputed_row_hash(
+        ((d, (s, r), forward, backward), pairs) in hash_case()
+    ) {
+        let mut parents = FunctionArena::with_pair_sets(d.task_count());
+        let parent = assume_all(&mut parents, &d, &pairs, PAIR_ONLY);
+        prop_assert_eq!(parents.first_stale_row(), None);
+
+        let mut children = parents.empty_like();
+        let child = children.push_child(&parents, parent, t(s), t(r), forward, backward);
+        // Re-joining the parent's own values leaves both cell words as
+        // they are; only the pair word can move.
+        let (own_forward, own_backward) = (d.value(t(s), t(r)), d.value(t(r), t(s)));
+        children.push_child(&parents, parent, t(s), t(r), own_forward, own_backward);
+        prop_assert_eq!(children.first_stale_row(), None);
+
+        // A grandchild derives its hash from a derived hash.
+        let mut grandchildren = children.empty_like();
+        grandchildren.push_child(&children, child, t(r), t(s), backward, forward);
+        prop_assert_eq!(grandchildren.first_stale_row(), None);
+    }
+
+    #[test]
+    fn merged_copies_and_refreshed_rows_carry_current_hashes(
+        (a, b, left, right, executed) in merge_case(),
+        union in any::<bool>(),
+    ) {
+        let n = a.task_count();
+        let mut arena = FunctionArena::with_pair_sets(n);
+        let ia = assume_all(&mut arena, &a, &left, PAIR_ONLY);
+        let ib = assume_all(&mut arena, &b, &right, PAIR_ONLY);
+        let merged = arena.push_merge(ia, ib, union);
+
+        let mut next = arena.empty_like();
+        let copy = next.push_copy(&arena, merged);
+        prop_assert_eq!(next.first_stale_row(), None);
+        prop_assert_eq!(next.get(copy), a.join(&b));
+
+        let executed = TaskSet::from_ids(n, (0..n).filter(|&i| executed[i]).map(t));
+        arena.weaken(&weakening_mask(&executed));
+        prop_assert_eq!(arena.first_stale_row(), None);
+        arena.clear_pairs();
+        prop_assert_eq!(arena.first_stale_row(), None);
+    }
+
+    #[test]
+    fn equal_rows_built_by_different_paths_hash_equal(
+        ((d, (s, r), forward, backward), pairs) in hash_case()
+    ) {
+        let mut parents = FunctionArena::with_pair_sets(d.task_count());
+        let parent = assume_all(&mut parents, &d, &pairs, PAIR_ONLY);
+        let mut rows = parents.empty_like();
+        let child = rows.push_child(&parents, parent, t(s), t(r), forward, backward);
+        prop_assert_eq!(rows.index_last(), Ok(child));
+
+        // The same function and pair set from a plain push; the index is
+        // hash-first, so finding the child means the hashes agree.
+        let mut all_pairs = pairs;
+        all_pairs.push((s, r));
+        let mut rebuilt = parents.empty_like();
+        let pushed = assume_all(&mut rebuilt, &rows.get(child), &all_pairs, PAIR_ONLY);
+        rows.push_copy(&rebuilt, pushed);
+        prop_assert_eq!(rows.index_last(), Err(child));
+
+        // And from a merge of that row with itself, hashed on copy.
+        let merged = rebuilt.push_merge(pushed, pushed, false);
+        rows.push_copy(&rebuilt, merged);
+        prop_assert_eq!(rows.index_last(), Err(child));
+    }
+}
+
+/// Every off-diagonal cell of a 7-task row, under every pair of join
+/// values: forward and backward cells share a word for the pairs inside
+/// one 21-cell block, and `‖` joins leave the cell words unchanged.
+#[test]
+fn every_seven_task_child_carries_the_recomputed_row_hash() {
+    let mut d = DependencyFunction::bottom(7);
+    for s in 0..7 {
+        for r in 0..7 {
+            if s != r && (s + 2 * r) % 3 == 0 {
+                d.set(t(s), t(r), ALL_VALUES[(s * 7 + r) % ALL_VALUES.len()]);
+            }
+        }
+    }
+    let mut parents = FunctionArena::with_pair_sets(7);
+    let parent = assume_all(&mut parents, &d, &[(2, 5), (6, 0)], PAIR_ONLY);
+    let mut children = parents.empty_like();
+    for s in 0..7 {
+        for r in (0..7).filter(|&r| r != s) {
+            for forward in ALL_VALUES {
+                for backward in ALL_VALUES {
+                    children.clear();
+                    children.push_child(&parents, parent, t(s), t(r), forward, backward);
+                    assert_eq!(
+                        children.first_stale_row(),
+                        None,
+                        "({s}, {r}) joining {forward} / {backward}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -376,7 +376,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })),
             per_function_median_micros: median(&time_micros(iters, || {
                 for _ in 0..set_reps {
-                    // The per-function loop recomputes six popcounts per
+                    // The per-function loop recomputes two popcounts per
                     // word; ×reps to stay measurable against the cached
                     // column.
                     let set = std::hint::black_box(&set);
