@@ -1,6 +1,5 @@
 //! The incremental generalization engine (paper §3.1–§3.2).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bbmg_lattice::{packed, DependencyFunction, DependencyValue, FunctionArena, TaskId};
@@ -12,6 +11,7 @@ use crate::history::ExecutionHistory;
 use crate::options::{LearnOptions, MergeAssumptions};
 use crate::pool::{self, WorkerPool};
 use crate::stats::LearnStats;
+use crate::weight_queue::WeightQueue;
 
 /// How many generated hypotheses pass between mid-period budget checks.
 ///
@@ -43,11 +43,12 @@ pub const PARALLEL_BRANCH_WORDS: usize = 128 * 1024;
 pub const PARALLEL_SCAN_WORDS: usize = 32 * 1024;
 
 /// Minimum `hypotheses × candidates × packed words per matrix` product
-/// before bounded-mode child *generation* fans out. Lower than
-/// [`PARALLEL_BRANCH_WORDS`] because it was tuned when bounded-mode
-/// workers also computed each child's full weight for merge ordering;
-/// the arena rows now carry an incremental weight in both modes, and the
-/// gate keeps its value so fan-out decisions do not shift.
+/// before bounded-mode child *generation* fans out, where the hypotheses
+/// counted are the message-start rows that branch (those that repeat no
+/// earlier row). Lower than [`PARALLEL_BRANCH_WORDS`] because it was
+/// tuned when bounded-mode workers also computed each child's full
+/// weight for merge ordering; the arena rows now carry an incremental
+/// weight in both modes, and the gate keeps its value.
 pub const BOUNDED_BRANCH_WORDS: usize = 64 * 1024;
 
 /// Minimum hypothesis count before negative-example matching fans out
@@ -59,18 +60,14 @@ const PARALLEL_MATCH_THRESHOLD: usize = 8;
 /// `rows` holds every admitted child in admission order — children stay
 /// there after a merge consumes them, because dedup is defined over
 /// *generated* children — and, in bounded mode, every merged row, which
-/// is never a dedup key. `working` is the bounded working list of
-/// `(weight, row)` handles, ascending by weight, FIFO among equals.
+/// is never a dedup key. `working` is the bounded working list of row
+/// handles, popped by ascending weight, FIFO among equals. `parents`
+/// lists the message-start rows that branch: in bounded mode those that
+/// repeat no earlier row, in exact mode all of them.
 struct Branch {
     rows: FunctionArena,
-    working: VecDeque<(u64, usize)>,
-}
-
-impl Branch {
-    fn insert_working(&mut self, weight: u64, row: usize) {
-        let pos = self.working.partition_point(|&(w, _)| w <= weight);
-        self.working.insert(pos, (weight, row));
-    }
+    working: WeightQueue,
+    parents: Vec<usize>,
 }
 
 /// The incremental learner: feed it periods with [`observe`], read the
@@ -316,9 +313,12 @@ impl Learner {
             set.push(d);
         }
         set.weaken(&packed::weakening_mask(executed));
+        let max_weight = DependencyValue::MayMutual.distance()
+            * (self.tasks * self.tasks.saturating_sub(1)) as u64;
         let mut branch = Branch {
             rows: set.empty_like(),
-            working: VecDeque::new(),
+            working: WeightQueue::new(max_weight),
+            parents: Vec::new(),
         };
 
         // Step 2: message-guided generalization.
@@ -433,13 +433,24 @@ impl Learner {
     /// Theorem 4's convergence argument is about precisely this
     /// interleaving of insertions and merges.
     ///
+    /// In bounded mode a message-start row that repeats an earlier one word
+    /// for word (function and pair set) does not branch. A child depends
+    /// only on its parent row, the candidate and the join values, so the
+    /// earlier copy has already offered an equal child for every
+    /// candidate; that child, or an equal row before it, is in the dedup
+    /// index, which keeps its rows for the rest of the message. So every
+    /// child of the repeat would be dropped by `admit` before it is
+    /// counted, sampled, queued or reported. Exact-mode stores are the
+    /// dedup index's own unique rows, so every row branches.
+    ///
     /// Child *generation* only reads the message-start rows — merged rows
     /// never spawn children within a message — so with enough work it
     /// fans out to the persistent pool: workers fill per-chunk arenas of
-    /// child rows (with their weights and fingerprints) over contiguous
-    /// row ranges, and the reduce consumes the chunks in order. That is
-    /// exactly the sequential sequence, so results, statistics and event
-    /// streams are byte-identical at any thread count.
+    /// child rows (with their weights and row hashes) over contiguous
+    /// runs of the branching rows, and the reduce consumes the chunks in
+    /// order. That is exactly the sequential sequence, so results,
+    /// statistics and event streams are byte-identical at any thread
+    /// count.
     fn branch_message<O: Observer + ?Sized>(
         &mut self,
         period: usize,
@@ -450,22 +461,27 @@ impl Learner {
         joins: &Arc<Vec<(DependencyValue, DependencyValue)>>,
     ) -> Result<(), LearnError> {
         branch.rows.clear();
-        branch.working.clear();
         let gate = if self.options.bound.is_some() {
+            set.distinct_rows(&mut branch.parents);
             BOUNDED_BRANCH_WORDS
         } else {
+            branch.parents.clear();
+            branch.parents.extend(0..set.len());
             PARALLEL_BRANCH_WORDS
         };
-        let threads = self.branch_threads(set.len(), candidates.len(), gate);
+        let threads = self.branch_threads(branch.parents.len(), candidates.len(), gate);
         if threads > 1 {
-            for chunk in generate_children_parallel(threads, set, candidates, joins) {
+            for chunk in
+                generate_children_parallel(threads, set, &branch.parents, candidates, joins)
+            {
                 for k in 0..chunk.len() {
                     branch.rows.push_copy(&chunk, k);
                     self.admit(period, observer, branch)?;
                 }
             }
         } else {
-            for parent in 0..set.len() {
+            for p in 0..branch.parents.len() {
+                let parent = branch.parents[p];
                 for (ci, &(s, r)) in candidates.iter().enumerate() {
                     // At most one message per sender/receiver pair per
                     // period: a pair already assumed is spoken for.
@@ -480,7 +496,7 @@ impl Learner {
         }
         if self.options.bound.is_some() {
             set.clear();
-            for &(_, row) in &branch.working {
+            while let Some((_, row)) = branch.working.pop_min() {
                 set.push_copy(&branch.rows, row);
             }
         } else {
@@ -496,7 +512,12 @@ impl Learner {
     /// ordered reduce: dedup → count → sampled budget check → then, in
     /// exact mode, the set-limit guard, or in bounded mode insertion into
     /// the working list and the overflow merge of the two lowest-weight
-    /// rows into their least upper bound (§3.2).
+    /// rows into their least upper bound (§3.2). A duplicate child leaves
+    /// no trace: it is popped before it is counted.
+    ///
+    /// The working list's weight buckets hand over the two lowest rows in
+    /// O(1), in the order a weight-sorted list with stable insertion
+    /// would.
     fn admit<O: Observer + ?Sized>(
         &mut self,
         period: usize,
@@ -526,18 +547,15 @@ impl Learner {
             }
             return Ok(());
         };
-        branch.insert_working(branch.rows.weight(row), row);
+        branch.working.push(branch.rows.weight(row), row);
         if branch.working.len() > bound.get() {
-            let (wa, a) = branch
-                .working
-                .pop_front()
-                .expect("overflow implies nonempty");
-            let (wb, b) = branch.working.pop_front().expect("bound >= 1");
+            let (wa, a) = branch.working.pop_min().expect("overflow implies nonempty");
+            let (wb, b) = branch.working.pop_min().expect("bound >= 1");
             let union = self.options.merge_assumptions == MergeAssumptions::Union;
             let merged = branch.rows.push_merge(a, b, union);
             let weight = branch.rows.weight(merged);
             observer.merge(period, (wa, wb), weight);
-            branch.insert_working(weight, merged);
+            branch.working.push(weight, merged);
             self.stats.merges += 1;
         }
         Ok(())
@@ -688,11 +706,11 @@ impl Learner {
     }
 }
 
-/// Generates every child of `set`'s rows for one message, fanned out over
-/// the persistent pool in contiguous row chunks: each worker fills an
-/// arena of child rows (weights and fingerprints included) for its chunk,
-/// and the chunks come back in order, so their concatenation is exactly
-/// the sequential generation sequence.
+/// Generates every child of the `parents` rows of `set` for one message,
+/// fanned out over the persistent pool in contiguous runs of `parents`:
+/// each worker fills an arena of child rows (weights and row hashes
+/// included) for its run, and the chunks come back in order, so their
+/// concatenation is exactly the sequential generation sequence.
 ///
 /// The rows are moved into an `Arc` for the duration (jobs on a
 /// persistent pool must be `'static`) and restored afterwards; by the
@@ -701,19 +719,21 @@ impl Learner {
 fn generate_children_parallel(
     threads: usize,
     set: &mut FunctionArena,
+    parents: &[usize],
     candidates: &Arc<Vec<(TaskId, TaskId)>>,
     joins: &Arc<Vec<(DependencyValue, DependencyValue)>>,
 ) -> Vec<FunctionArena> {
     let shared = Arc::new(std::mem::replace(set, set.empty_like()));
-    let jobs: Vec<_> = pool::chunk_ranges(threads, shared.len())
+    let jobs: Vec<_> = pool::chunk_ranges(threads, parents.len())
         .into_iter()
         .map(|range| {
             let shared = Arc::clone(&shared);
+            let parents = parents[range].to_vec();
             let candidates = Arc::clone(candidates);
             let joins = Arc::clone(joins);
             move || {
                 let mut out = shared.empty_like();
-                for parent in range {
+                for parent in parents {
                     for (ci, &(s, r)) in candidates.iter().enumerate() {
                         if !shared.has_pair(parent, s, r) {
                             let (forward, backward) = joins[ci];

@@ -61,6 +61,7 @@ mod options;
 pub mod pool;
 mod robust;
 mod stats;
+mod weight_queue;
 mod witness;
 
 pub use cache::{

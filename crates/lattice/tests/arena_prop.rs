@@ -16,7 +16,10 @@
 //! child row against `join_value` on the parent function with its
 //! incrementally updated weight against a recomputed `weight()`, and a
 //! merge row against `join`, including its fingerprint and deferred
-//! row hash.
+//! row hash. A merge's weight is its first row's plus the change in the
+//! words the second row adds bits to, so merges that change no word and
+//! merges that change every word are checked on their own, and
+//! `distinct_rows` is checked against a linear first-occurrence scan.
 //!
 //! The row hash the dedup index keys on is pinned through
 //! [`FunctionArena::first_stale_row`], which recomputes every cached
@@ -172,7 +175,121 @@ fn merge_case() -> impl Strategy<
     })
 }
 
+/// Two functions over 3, 5, 7, 9 or 18 tasks such that the second one has
+/// a bit the first lacks in every function word that holds an
+/// off-diagonal cell: one such cell per word is `‖` in the first and `→`
+/// in the second.
+fn every_word_differs() -> impl Strategy<Value = (DependencyFunction, DependencyFunction)> {
+    prop::sample::select(vec![3usize, 5, 7, 9, 18])
+        .prop_flat_map(|n| (function_strategy(n), function_strategy(n)))
+        .prop_map(|(mut a, mut b)| {
+            let n = a.task_count();
+            for cell in first_off_diagonal_cell_per_word(n) {
+                let (s, r) = (t(cell / n), t(cell % n));
+                a.set(s, r, DependencyValue::Parallel);
+                b.set(s, r, DependencyValue::Determines);
+            }
+            (a, b)
+        })
+}
+
+/// The first off-diagonal cell of each packed word that has one.
+fn first_off_diagonal_cell_per_word(n: usize) -> Vec<usize> {
+    (0..DependencyFunction::words_per_function(n))
+        .filter_map(|word| (word * 21..((word + 1) * 21).min(n * n)).find(|c| c / n != c % n))
+        .collect()
+}
+
+/// A linear-scan model of [`FunctionArena::distinct_rows`]: the rows
+/// whose function words and pair set equal no earlier row's.
+fn first_occurrences(arena: &FunctionArena) -> Vec<usize> {
+    let whole = |i: usize| (arena.row(i).to_vec(), arena.pairs(i).to_vec());
+    (0..arena.len())
+        .filter(|&i| (0..i).all(|j| whole(j) != whole(i)))
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn merges_that_change_no_word_keep_the_first_rows_weight(
+        (c, d, left, right, _) in merge_case(),
+        union in any::<bool>(),
+    ) {
+        // b ⊑ a word-wise: the merge is a's function, and no word is
+        // re-weighed.
+        let a = c.join(&d);
+        let mut arena = FunctionArena::with_pair_sets(a.task_count());
+        let ia = assume_all(&mut arena, &a, &left, PAIR_ONLY);
+        let ib = assume_all(&mut arena, &c, &right, PAIR_ONLY);
+        let merged = arena.push_merge(ia, ib, union);
+        prop_assert_eq!(arena.row(merged), a.packed_words());
+        prop_assert_eq!(arena.weight(merged), a.weight());
+        prop_assert_eq!(arena.first_stale_row(), None);
+    }
+
+    #[test]
+    fn merges_that_change_every_word_reweigh_each_one(
+        (a, b) in every_word_differs(),
+        union in any::<bool>(),
+    ) {
+        let mut arena = FunctionArena::with_pair_sets(a.task_count());
+        let ia = arena.push(&a);
+        let ib = arena.push(&b);
+        let merged = arena.push_merge(ia, ib, union);
+        let expected = a.join(&b);
+        for word in first_off_diagonal_cell_per_word(a.task_count()).iter().map(|c| c / 21) {
+            prop_assert_ne!(arena.row(merged)[word], a.packed_words()[word], "word {}", word);
+        }
+        prop_assert_eq!(&arena.get(merged), &expected);
+        prop_assert_eq!(arena.weight(merged), expected.weight());
+        prop_assert_eq!(arena.first_stale_row(), None);
+    }
+
+    #[test]
+    fn distinct_rows_keeps_first_occurrences(
+        (n, left, right) in pair_list_pairs(),
+        picks in prop::collection::vec((0..4usize, any::<bool>()), 1..=16),
+    ) {
+        // Rows drawn from two functions and two pair lists, so exact
+        // repeats are common and equal functions with different pair
+        // sets are too.
+        let mut c = DependencyFunction::bottom(n);
+        c.set(t(0), t(1), DependencyValue::Determines);
+        let functions = [DependencyFunction::bottom(n), c];
+        let mut source = FunctionArena::with_pair_sets(n);
+        let built: Vec<usize> = (0..4)
+            .map(|k| {
+                let pairs = if k % 2 == 0 { &left } else { &right };
+                assume_all(&mut source, &functions[k / 2], pairs, PAIR_ONLY)
+            })
+            .collect();
+        let mut arena = source.empty_like();
+        for &(k, merged) in &picks {
+            if merged {
+                // A self-merge carries a deferred row hash into the store.
+                let row = source.push_merge(built[k], built[k], false);
+                arena.push_copy(&source, row);
+            } else {
+                arena.push_copy(&source, built[k]);
+            }
+        }
+        let mut distinct = vec![usize::MAX];
+        arena.distinct_rows(&mut distinct);
+        prop_assert_eq!(&distinct, &first_occurrences(&arena));
+        // The listed rows are now the dedup index: every row finds its
+        // first occurrence.
+        for i in 0..arena.len() {
+            let first = first_occurrences(&arena).into_iter().find(|&j| {
+                arena.row(j) == arena.row(i) && arena.pairs(j) == arena.pairs(i)
+            });
+            arena.push_copy(&arena.clone(), i);
+            prop_assert_eq!(arena.index_last().err(), first);
+        }
+        // A second call rebuilds the same index.
+        arena.distinct_rows(&mut distinct);
+        prop_assert_eq!(&distinct, &first_occurrences(&arena));
+    }
+
     #[test]
     fn pair_sets_match_a_btreeset_model(
         (n, left, right) in pair_list_pairs()
