@@ -12,8 +12,14 @@
 //!   N of them (`bbmg-ckpt/1`, atomic rename);
 //! * a **memory watermark** sized in packed lattice words triggers the
 //!   graceful-degradation ladder instead of unbounded growth: exact →
-//!   bounded fallback first, then checkpoint-and-shed — the shard stays
-//!   alive and accounted, it never aborts the process;
+//!   bounded fallback first, then checkpoint-and-shed, and the shard
+//!   stays alive and accounted. The watermark is checked between
+//!   periods, so it bounds what a shard keeps from one period to the
+//!   next, not the working set inside a period: a single exact
+//!   GM-scale period can still abort the process on allocation failure
+//!   before the check runs. A mid-period memory guard is an open item
+//!   in `ROADMAP.md`; until then, a set limit in the learner options
+//!   is the in-period bound;
 //! * a **watchdog** restarts a shard that wedges (a learner error that is
 //!   not part of normal degradation) from its last checkpoint, with
 //!   exponential backoff and a restart budget; a shard that exhausts the
@@ -66,7 +72,12 @@ pub struct ServeOptions {
     pub fallback_bound: NonZeroUsize,
     /// Memory watermark per shard, in packed lattice words retained by the
     /// hypothesis arena (`hypotheses × words_per_function(tasks)`).
-    /// Crossing it triggers the degradation ladder; it never aborts.
+    /// Crossing it triggers the degradation ladder. It is checked only
+    /// between periods (after the learner absorbs each one), so an exact
+    /// period that outgrows memory on its own still aborts on allocation
+    /// failure before the check runs; [`LearnOptions::set_limit`] is the
+    /// bound that applies inside a period. A mid-period memory guard is
+    /// an open item in `ROADMAP.md`.
     pub watermark_words: usize,
     /// Checkpoint every N consumed periods (`None` disables cadence
     /// checkpoints; a final checkpoint is still written on shard finish
