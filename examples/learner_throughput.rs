@@ -19,7 +19,9 @@
 //!   when the host actually has spare cores — `cpu_threads` records
 //!   what this machine offered, so a 1-core container's flat numbers
 //!   read as what they are (the pool's `provision` clamp keeps them
-//!   within noise of the 1-thread row).
+//!   within noise of the 1-thread row). The thread counts are timed
+//!   round-robin, one run each per iteration, so a stretch of host
+//!   load lands on every row instead of on one.
 //!
 //! [`FunctionArena`]: bbmg::lattice::FunctionArena
 //!
@@ -155,6 +157,32 @@ fn time_micros(iterations: usize, mut f: impl FnMut()) -> Vec<u64> {
             u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
         })
         .collect()
+}
+
+/// Times `run(threads)` once per thread count per iteration, cycling
+/// through the thread counts, so every row samples the same stretches of
+/// host load.
+fn time_thread_rows(
+    iterations: usize,
+    thread_counts: &[usize],
+    mut run: impl FnMut(usize),
+) -> Vec<ThreadRow> {
+    let mut rows: Vec<ThreadRow> = thread_counts
+        .iter()
+        .map(|&threads| ThreadRow {
+            threads,
+            micros: Vec::with_capacity(iterations),
+        })
+        .collect();
+    for _ in 0..iterations {
+        for row in &mut rows {
+            let start = Instant::now();
+            run(row.threads);
+            row.micros
+                .push(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+        }
+    }
+    rows
 }
 
 fn median(samples: &[u64]) -> u64 {
@@ -468,35 +496,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workloads = vec![
         WorkloadRows {
             name: "exact_blowup",
-            rows: thread_counts
-                .iter()
-                .map(|&threads| ThreadRow {
-                    threads,
-                    micros: time_micros(iters, || {
-                        learn(
-                            &exact_trace,
-                            LearnOptions::exact().with_parallelism(threads),
-                        )
-                        .expect("learns");
-                    }),
-                })
-                .collect(),
+            rows: time_thread_rows(iters, &thread_counts, |threads| {
+                learn(
+                    &exact_trace,
+                    LearnOptions::exact().with_parallelism(threads),
+                )
+                .expect("learns");
+            }),
         },
         WorkloadRows {
             name: "bounded_random",
-            rows: thread_counts
-                .iter()
-                .map(|&threads| ThreadRow {
-                    threads,
-                    micros: time_micros(iters, || {
-                        learn(
-                            &bounded_trace,
-                            LearnOptions::bounded(64).with_parallelism(threads),
-                        )
-                        .expect("learns");
-                    }),
-                })
-                .collect(),
+            rows: time_thread_rows(iters, &thread_counts, |threads| {
+                learn(
+                    &bounded_trace,
+                    LearnOptions::bounded(64).with_parallelism(threads),
+                )
+                .expect("learns");
+            }),
         },
     ];
 
