@@ -71,6 +71,12 @@ fn blowup_trace() -> Trace {
 /// crosses `PARALLEL_SCAN_WORDS`, and a bound-64 run crosses
 /// `BOUNDED_BRANCH_WORDS`: every parallel learner path runs for real.
 fn wide_blowup_trace() -> Trace {
+    wide_blowup_trace_with(2)
+}
+
+/// [`wide_blowup_trace`] with `messages` messages between the senders and
+/// the receivers.
+fn wide_blowup_trace_with(messages: u64) -> Trace {
     let width = 10usize;
     let names: Vec<String> = (0..width)
         .map(|i| format!("s{i}"))
@@ -93,8 +99,10 @@ fn wide_blowup_trace() -> Trace {
         b.event(Timestamp::new(10 + i as u64), EventKind::TaskEnd(*s))
             .unwrap();
     }
-    b.message(Timestamp::new(30), Timestamp::new(31)).unwrap();
-    b.message(Timestamp::new(32), Timestamp::new(33)).unwrap();
+    for m in 0..messages {
+        b.message(Timestamp::new(30 + 2 * m), Timestamp::new(31 + 2 * m))
+            .unwrap();
+    }
     for (i, r) in receivers.iter().enumerate() {
         b.event(Timestamp::new(60 + i as u64), EventKind::TaskStart(*r))
             .unwrap();
@@ -210,17 +218,20 @@ fn bounded_parallel_generation_is_byte_identical() {
     // dependence), but child generation fans out past
     // BOUNDED_BRANCH_WORDS — merges, stats and events must still come
     // out byte-identical because the reduce consumes children in
-    // generation order.
+    // generation order. With six messages, the last two branch 33
+    // distinct rows of 64 in parallel: the chunks run over a parent list
+    // with gaps where repeated rows were skipped.
     force_real_workers();
-    let trace = wide_blowup_trace();
-    let baseline = instrumented_run(&trace, LearnOptions::bounded(64));
-    assert!(baseline.1.merges > 0, "the bound must actually overflow");
-    for threads in [2usize, 8] {
-        let run = instrumented_run(&trace, LearnOptions::bounded(64).with_parallelism(threads));
-        assert_eq!(baseline.0, run.0, "hypotheses differ at {threads} threads");
-        assert_eq!(baseline.1, run.1, "stats differ at {threads} threads");
-        assert_eq!(baseline.2, run.2, "events differ at {threads} threads");
-        assert_eq!(baseline.3, run.3, "metrics differ at {threads} threads");
+    for trace in [wide_blowup_trace(), wide_blowup_trace_with(6)] {
+        let baseline = instrumented_run(&trace, LearnOptions::bounded(64));
+        assert!(baseline.1.merges > 0, "the bound must actually overflow");
+        for threads in [2usize, 8] {
+            let run = instrumented_run(&trace, LearnOptions::bounded(64).with_parallelism(threads));
+            assert_eq!(baseline.0, run.0, "hypotheses differ at {threads} threads");
+            assert_eq!(baseline.1, run.1, "stats differ at {threads} threads");
+            assert_eq!(baseline.2, run.2, "events differ at {threads} threads");
+            assert_eq!(baseline.3, run.3, "metrics differ at {threads} threads");
+        }
     }
 }
 
