@@ -187,8 +187,10 @@ fn workload_words(trace: &Trace) -> usize {
 }
 
 /// Runs the learner per the command-line choice — the plain learner for
-/// [`OnError::Abort`], the robust (quarantining) learner otherwise —
-/// streaming events into `observer`.
+/// [`OnError::Abort`], otherwise the [`bbmg_core::IncrementalLearner`]
+/// through [`robust_learn_with`], the same engine as `learn --checkpoint`
+/// and `resume`, so both print the same model — streaming events into
+/// `observer`.
 pub(crate) fn run_learner<O: Observer + ?Sized>(
     trace: &Trace,
     choice: LearnerChoice,

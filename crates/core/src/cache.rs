@@ -47,9 +47,8 @@ use bbmg_trace::{EventKind, Trace};
 
 use crate::checkpoint::{payload_checksum, Checkpoint, CheckpointError};
 use crate::error::LearnError;
-use crate::incremental::IncrementalLearner;
+use crate::incremental::{IncrementalLearner, Observed};
 use crate::options::LearnOptions;
-use crate::robust::Observed;
 use crate::LearnResult;
 
 /// Schema tag of the aggregate corpus report emitted by `bbmg corpus`.

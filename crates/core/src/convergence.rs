@@ -3,7 +3,7 @@
 //! The paper's evaluation tracks how the learner closes in on the final
 //! model as periods accumulate: "after 27 periods the set stabilizes".
 //! [`convergence_timeline`] reproduces that chart for any trace: it runs
-//! the robust learner, snapshots the hypothesis count and the `d_LUB`
+//! the [`IncrementalLearner`], snapshots the hypothesis count and the `d_LUB`
 //! summary after every accepted period, and — once the final model is
 //! known — reports each snapshot's pointwise lattice distance
 //! ([`DependencyFunction::lattice_distance`]) to it. A timeline whose
@@ -15,8 +15,8 @@ use bbmg_obs::{Event, NoopObserver, Observer};
 use bbmg_trace::Trace;
 
 use crate::error::LearnError;
+use crate::incremental::{IncrementalLearner, Observed};
 use crate::options::LearnOptions;
-use crate::robust::{Observed, RobustLearner};
 
 /// One sample of a convergence timeline: the learner's state after an
 /// accepted period.
@@ -43,7 +43,8 @@ pub struct ConvergencePoint {
 ///
 /// # Errors
 ///
-/// Propagates [`LearnError`] exactly as [`RobustLearner::observe`] does.
+/// Propagates [`LearnError`] exactly as
+/// [`IncrementalLearner::push_period`] does.
 pub fn convergence_timeline(
     trace: &Trace,
     options: LearnOptions,
@@ -64,10 +65,10 @@ pub fn convergence_timeline_with<O: Observer + ?Sized>(
     options: LearnOptions,
     observer: &mut O,
 ) -> Result<Vec<ConvergencePoint>, LearnError> {
-    let mut learner = RobustLearner::new(trace.task_count(), options);
+    let mut learner = IncrementalLearner::new(trace.task_count(), options);
     let mut snapshots: Vec<(usize, usize, DependencyFunction)> = Vec::new();
     for period in trace.periods() {
-        match learner.observe_with(period, observer)? {
+        match learner.push_period_with(period, observer)? {
             Observed::Accepted => {
                 if let Some(lub) = lub_of(&learner) {
                     snapshots.push((period.index(), learner.len(), lub));
@@ -135,7 +136,7 @@ pub fn convergence_timeline_with<O: Observer + ?Sized>(
 }
 
 /// Least upper bound of the learner's current hypothesis set.
-fn lub_of(learner: &RobustLearner) -> Option<DependencyFunction> {
+fn lub_of(learner: &IncrementalLearner) -> Option<DependencyFunction> {
     let mut hypotheses = learner.hypotheses().into_iter();
     let mut acc = hypotheses.next()?.clone();
     for d in hypotheses {

@@ -1,23 +1,16 @@
-//! The incremental learning engine: push periods one at a time, snapshot
-//! to a [`Checkpoint`] at any boundary, resume later — byte-identically.
+//! The learning engine: push periods one at a time under a graceful
+//! degradation policy, snapshot to a [`Checkpoint`] at any boundary, and
+//! resume later — byte-identically. [`IncrementalLearner`] documents the
+//! degradation ladder; [`robust_learn`] drives it over a whole trace.
 //!
-//! [`IncrementalLearner`] is the crash-safe successor to feeding a whole
-//! [`Trace`](bbmg_trace::Trace) through [`learn`](crate::learn): the same
-//! degradation policy as [`RobustLearner`](crate::RobustLearner)
-//! (quarantine, exact→bounded fallback, budget early-stop), but with state
-//! that is *checkpointable* in `O(hypotheses)` rather than `O(trace)`.
-//! The classic robust learner keeps every accepted period so a fallback
-//! can replay them into a fresh bounded learner; that history is exactly
-//! what a checkpoint must not carry. Here a fallback instead **seeds** the
-//! bounded learner with the current exact antichain and re-observes only
-//! the period that tripped the limit. This is sound — the exact antichain
-//! is a complete summary of everything accepted so far (Theorem 2), and
-//! bounded-mode merging only ever generalizes — and it makes the learner's
-//! full state equal to (antichain, history bitmap, options, stats,
-//! counters): precisely what [`Checkpoint`] captures.
-//!
-//! The defining invariant, enforced by the `checkpoint_roundtrip` proptest
-//! and the kill-and-resume chaos test:
+//! A fallback seeds the bounded learner from the current antichain
+//! instead of replaying the trace, which keeps the learner's full state
+//! equal to (antichain, history bitmap, options, stats, counters) —
+//! `O(model)`, not `O(trace)` — and that is precisely what [`Checkpoint`]
+//! captures. Every entry point ([`robust_learn`], `learn
+//! --checkpoint`/`resume`, the [`ModelCache`](crate::ModelCache), serve
+//! shards) runs this one engine. The defining invariant, enforced by the
+//! `checkpoint_roundtrip` proptest and the kill-and-resume chaos test:
 //!
 //! > For any split point k: `push(p_1..p_k); resume(checkpoint());
 //! > push(p_k+1..p_n)` produces the same hypotheses, the same stats, and
@@ -27,17 +20,64 @@ use std::num::NonZeroUsize;
 
 use bbmg_lattice::DependencyFunction;
 use bbmg_obs::{Event, NoopObserver, Observer};
-use bbmg_trace::Period;
+use bbmg_trace::{Period, Trace};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::error::LearnError;
 use crate::history::ExecutionHistory;
 use crate::learner::{LearnResult, Learner};
 use crate::options::{LearnOptions, OnInconsistent};
-use crate::robust::{Observed, DEFAULT_FALLBACK_BOUND};
 use crate::stats::{LearnStats, SkipCause, SkippedPeriod};
 
+/// Default bound used when falling back from the exact algorithm.
+pub const DEFAULT_FALLBACK_BOUND: usize = 64;
+
+/// What [`IncrementalLearner::push_period`] did with a period.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Observed {
+    /// The period was learned from.
+    Accepted,
+    /// The period was quarantined; the learner state is as if it had never
+    /// been seen.
+    Skipped(SkippedPeriod),
+    /// The budget ran out in bounded mode; the period was not processed
+    /// and the caller should stop feeding (each further period will report
+    /// the same). The partial result remains valid.
+    BudgetStopped {
+        /// Index of the unprocessed period.
+        period: usize,
+    },
+}
+
 /// A checkpointable period-at-a-time learner with graceful degradation.
+///
+/// The plain [`Learner`] is brittle by design: one inconsistent period
+/// empties the hypothesis set and the whole run is lost. That is correct
+/// for trusted traces, but a field capture from a real bus logger *will*
+/// contain periods the model of computation cannot explain. This engine
+/// trades completeness for survival, under three rules:
+///
+/// * **Quarantine** — with [`OnInconsistent::SkipPeriod`], a period that
+///   would empty the hypothesis set is rolled back (snapshot/restore) and
+///   recorded in [`LearnStats::skipped_periods`] with the killing message.
+/// * **Fallback** — if the exact algorithm trips its
+///   [`set_limit`](crate::LearnOptions::set_limit) or
+///   [`Budget`](crate::Budget), the run switches to the bounded heuristic
+///   in place: the bounded learner is **seeded** with the current exact
+///   antichain and re-observes only the period that tripped the limit.
+///   This is sound — the exact antichain is a complete summary of
+///   everything accepted so far (Theorem 2), and bounded-mode merging only
+///   ever generalizes. Counters, history, quarantine records and the
+///   budget clock carry over: the engine changed, the run did not restart.
+/// * **Early stop** — if the budget runs out in bounded mode there is
+///   nothing cheaper to fall back to; the run keeps its partial result and
+///   reports the unprocessed periods as skipped.
+///
+/// All three degradations are *sound* for the learned model: dropping
+/// observations can only leave the result less constrained (closer to
+/// `d⊥`-unknowns) than the fully-informed one — never in contradiction
+/// with the observations that were kept. See DESIGN.md § Fault model and
+/// degradation policy.
 ///
 /// # Example — checkpoint mid-stream, resume, finish
 ///
@@ -162,9 +202,7 @@ impl IncrementalLearner {
     }
 
     /// Processes one period under the degradation policy (see
-    /// [`RobustLearner::observe`](crate::RobustLearner::observe) for the
-    /// ladder; the fallback rung seeds the bounded learner from the
-    /// current antichain instead of replaying the trace).
+    /// [`IncrementalLearner`] for the ladder).
     ///
     /// The call is transactional: on any `Err` the learner is exactly as
     /// it was before the period, so a supervisor can keep serving the last
@@ -411,9 +449,47 @@ impl IncrementalLearner {
     }
 }
 
+/// Runs the [`IncrementalLearner`] over every period of `trace`. On budget
+/// exhaustion in bounded mode the remaining periods are recorded as
+/// skipped and the partial result is returned.
+///
+/// # Errors
+///
+/// See [`IncrementalLearner::push_period`].
+pub fn robust_learn(trace: &Trace, options: LearnOptions) -> Result<LearnResult, LearnError> {
+    robust_learn_with(trace, options, &mut NoopObserver)
+}
+
+/// [`robust_learn`] with instrumentation (see
+/// [`IncrementalLearner::push_period_with`]).
+///
+/// # Errors
+///
+/// See [`IncrementalLearner::push_period`].
+pub fn robust_learn_with<O: Observer + ?Sized>(
+    trace: &Trace,
+    options: LearnOptions,
+    observer: &mut O,
+) -> Result<LearnResult, LearnError> {
+    let mut learner = IncrementalLearner::new(trace.task_count(), options);
+    let mut periods = trace.periods().iter();
+    for period in periods.by_ref() {
+        if let Observed::BudgetStopped { period: p } = learner.push_period_with(period, observer)? {
+            learner.mark_unprocessed(p);
+            break;
+        }
+    }
+    for period in periods {
+        learner.mark_unprocessed(period.index());
+    }
+    Ok(learner.finish())
+}
+
 #[cfg(test)]
 mod tests {
-    use bbmg_lattice::TaskUniverse;
+    use std::time::Duration;
+
+    use bbmg_lattice::{TaskId, TaskUniverse};
     use bbmg_trace::{EventKind, Timestamp, Trace, TraceBuilder};
 
     use super::*;
@@ -423,34 +499,51 @@ mod tests {
         TaskUniverse::from_names(["a", "b", "c"])
     }
 
-    fn consistent_period(builder: &mut TraceBuilder, base: u64, messages: usize) {
-        let u = universe3();
-        let a = u.lookup("a").unwrap();
-        let b = u.lookup("b").unwrap();
-        let c = u.lookup("c").unwrap();
+    /// One period in which every sender ends before the messages and
+    /// every receiver starts after them, so each message can pair any
+    /// sender with any receiver.
+    fn fan_period(
+        builder: &mut TraceBuilder,
+        base: u64,
+        senders: &[TaskId],
+        receivers: &[TaskId],
+        messages: usize,
+    ) {
         builder.begin_period();
-        builder
-            .event(Timestamp::new(base), EventKind::TaskStart(a))
-            .unwrap();
-        builder
-            .event(Timestamp::new(base + 1), EventKind::TaskStart(b))
-            .unwrap();
-        builder
-            .event(Timestamp::new(base + 10), EventKind::TaskEnd(a))
-            .unwrap();
-        builder
-            .event(Timestamp::new(base + 11), EventKind::TaskEnd(b))
-            .unwrap();
+        for (i, &s) in (0..).zip(senders) {
+            builder
+                .event(Timestamp::new(base + i), EventKind::TaskStart(s))
+                .unwrap();
+        }
+        for (i, &s) in (0..).zip(senders) {
+            builder
+                .event(Timestamp::new(base + 10 + i), EventKind::TaskEnd(s))
+                .unwrap();
+        }
         for m in 0..messages {
             let at = base + 20 + 2 * m as u64;
             builder
                 .message(Timestamp::new(at), Timestamp::new(at + 1))
                 .unwrap();
         }
-        builder
-            .task(c, Timestamp::new(base + 60), Timestamp::new(base + 70))
-            .unwrap();
+        for (i, &r) in (0..).zip(receivers) {
+            builder
+                .event(Timestamp::new(base + 60 + i), EventKind::TaskStart(r))
+                .unwrap();
+        }
+        for (i, &r) in (0..).zip(receivers) {
+            builder
+                .event(Timestamp::new(base + 70 + i), EventKind::TaskEnd(r))
+                .unwrap();
+        }
         builder.end_period().unwrap();
+    }
+
+    /// a and b end before the messages, c starts after them.
+    fn consistent_period(builder: &mut TraceBuilder, base: u64, messages: usize) {
+        let u = universe3();
+        let [a, b, c] = ["a", "b", "c"].map(|n| u.lookup(n).unwrap());
+        fan_period(builder, base, &[a, b], &[c], messages);
     }
 
     fn inconsistent_period(builder: &mut TraceBuilder, base: u64) {
@@ -471,6 +564,15 @@ mod tests {
         for p in 0..periods {
             consistent_period(&mut builder, p as u64 * 1000, 1 + p % 2);
         }
+        builder.finish()
+    }
+
+    /// Consistent, inconsistent, consistent.
+    fn mixed_trace() -> Trace {
+        let mut builder = TraceBuilder::new(universe3());
+        consistent_period(&mut builder, 0, 1);
+        inconsistent_period(&mut builder, 1000);
+        consistent_period(&mut builder, 2000, 1);
         builder.finish()
     }
 
@@ -513,11 +615,7 @@ mod tests {
 
     #[test]
     fn quarantine_rolls_back_and_counts() {
-        let mut builder = TraceBuilder::new(universe3());
-        consistent_period(&mut builder, 0, 1);
-        inconsistent_period(&mut builder, 1000);
-        consistent_period(&mut builder, 2000, 1);
-        let trace = builder.finish();
+        let trace = mixed_trace();
         let options = LearnOptions::exact().with_on_inconsistent(OnInconsistent::SkipPeriod);
         let mut learner = IncrementalLearner::new(3, options);
         assert_eq!(
@@ -543,48 +641,22 @@ mod tests {
         let senders = ["a", "b", "c"].map(|n| u.lookup(n).unwrap());
         let receivers = ["d", "e"].map(|n| u.lookup(n).unwrap());
         let mut builder = TraceBuilder::new(u);
-        for p in 0..3u64 {
-            let base = p * 1000;
-            builder.begin_period();
-            for (i, s) in senders.iter().enumerate() {
-                builder
-                    .event(Timestamp::new(base + i as u64), EventKind::TaskStart(*s))
-                    .unwrap();
-            }
-            for (i, s) in senders.iter().enumerate() {
-                builder
-                    .event(Timestamp::new(base + 10 + i as u64), EventKind::TaskEnd(*s))
-                    .unwrap();
-            }
-            builder
-                .message(Timestamp::new(base + 20), Timestamp::new(base + 21))
-                .unwrap();
-            builder
-                .message(Timestamp::new(base + 22), Timestamp::new(base + 23))
-                .unwrap();
-            for (i, r) in receivers.iter().enumerate() {
-                builder
-                    .event(
-                        Timestamp::new(base + 60 + i as u64),
-                        EventKind::TaskStart(*r),
-                    )
-                    .unwrap();
-            }
-            for (i, r) in receivers.iter().enumerate() {
-                builder
-                    .event(Timestamp::new(base + 70 + i as u64), EventKind::TaskEnd(*r))
-                    .unwrap();
-            }
-            builder.end_period().unwrap();
+        for p in 0..3 {
+            fan_period(&mut builder, p * 1000, &senders, &receivers, 2);
         }
         let trace = builder.finish();
         let options = LearnOptions::exact().with_set_limit(2);
-        let mut learner = IncrementalLearner::new(5, options);
-        for period in trace.periods() {
-            learner.push_period(period).unwrap();
-        }
-        let result = learner.finish();
-        assert_eq!(result.stats().fallbacks, 1);
+        // The plain learner dies...
+        assert!(matches!(
+            crate::learner::learn(&trace, options),
+            Err(LearnError::SetLimitExceeded { .. })
+        ));
+        // ...this one switches to the bounded heuristic and finishes.
+        let result = robust_learn(&trace, options).unwrap();
+        let stats = result.stats();
+        assert_eq!(stats.fallbacks, 1);
+        assert_eq!(stats.periods, 3);
+        assert!(stats.skipped_periods.is_empty());
         assert!(!result.hypotheses().is_empty());
         // The fallback survives a checkpoint: the restored learner is
         // still bounded and its options round-trip.
@@ -655,5 +727,123 @@ mod tests {
             IncrementalLearner::resume(ckpt),
             Err(CheckpointError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    fn abort_policy_propagates_inconsistency() {
+        let err = robust_learn(&mixed_trace(), LearnOptions::exact()).unwrap_err();
+        assert!(matches!(
+            err,
+            LearnError::Inconsistent {
+                period: 1,
+                message: Some(_)
+            }
+        ));
+    }
+
+    #[test]
+    fn skip_policy_quarantines_and_continues() {
+        let options = LearnOptions::exact().with_on_inconsistent(OnInconsistent::SkipPeriod);
+        let result = robust_learn(&mixed_trace(), options).unwrap();
+        let stats = result.stats();
+        assert_eq!(stats.periods, 2, "both good periods learned");
+        assert_eq!(stats.skipped_periods.len(), 1);
+        let skip = &stats.skipped_periods[0];
+        assert_eq!(skip.period, 1);
+        assert!(matches!(
+            skip.cause,
+            SkipCause::Inconsistent { message: Some(_) }
+        ));
+        assert!(!result.hypotheses().is_empty());
+    }
+
+    #[test]
+    fn step_budget_trip_in_exact_mode_falls_back() {
+        let mut builder = TraceBuilder::new(universe3());
+        for p in 0..4 {
+            consistent_period(&mut builder, p * 1000, 2);
+        }
+        let trace = builder.finish();
+        let options = LearnOptions::exact().with_budget(Budget::unlimited().with_max_steps(3));
+        let result = robust_learn(&trace, options).unwrap();
+        let stats = result.stats();
+        assert_eq!(stats.fallbacks, 1);
+        assert!(!result.hypotheses().is_empty());
+        // The budget clock carries over the fallback: the exact phase
+        // spent the steps, so the bounded learner stops at once and the
+        // tail is accounted for as unprocessed.
+        assert_eq!(stats.periods, 1);
+        let unprocessed: Vec<usize> = stats
+            .skipped_periods
+            .iter()
+            .filter(|s| s.cause == SkipCause::BudgetExhausted)
+            .map(|s| s.period)
+            .collect();
+        assert_eq!(unprocessed, [1, 2, 3]);
+    }
+
+    /// A 16-task trace: one cheap period (a single unambiguous message),
+    /// then — when `with_blowup` — a period whose two messages each have
+    /// 8x8 feasible sender/receiver pairs, generating enough hypotheses to
+    /// cross the sampled budget guard mid-period.
+    fn cheap_then_blowup(with_blowup: bool) -> Trace {
+        let names: Vec<String> = (0..8)
+            .map(|i| format!("s{i}"))
+            .chain((0..8).map(|i| format!("r{i}")))
+            .collect();
+        let u = TaskUniverse::from_names(names);
+        let senders: Vec<_> = (0..8)
+            .map(|i| u.lookup(&format!("s{i}")).unwrap())
+            .collect();
+        let receivers: Vec<_> = (0..8)
+            .map(|i| u.lookup(&format!("r{i}")).unwrap())
+            .collect();
+        let mut b = TraceBuilder::new(u);
+        // Cheap period: only s0 and r0 run, so the message has exactly one
+        // feasible pair.
+        fan_period(&mut b, 0, &senders[..1], &receivers[..1], 1);
+        if with_blowup {
+            fan_period(&mut b, 1000, &senders, &receivers, 2);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn mid_period_budget_trip_rolls_back_to_the_last_full_period() {
+        // The boundary check before the blow-up period passes (only a
+        // handful of steps consumed), so the trip happens *mid-period*,
+        // via the sampled guard. The partial branching work must be rolled
+        // back: the result has to be byte-identical to learning a trace
+        // that simply ends after the cheap period.
+        let options =
+            LearnOptions::bounded(16).with_budget(Budget::unlimited().with_max_steps(1024));
+        let stopped = robust_learn(&cheap_then_blowup(true), options).unwrap();
+        let clean = robust_learn(&cheap_then_blowup(false), options).unwrap();
+
+        assert_eq!(stopped.stats().periods, 1, "only the cheap period counts");
+        assert_eq!(
+            stopped.stats().skipped_periods,
+            [SkippedPeriod {
+                period: 1,
+                cause: SkipCause::BudgetExhausted
+            }]
+        );
+        assert_eq!(
+            stopped.hypotheses(),
+            clean.hypotheses(),
+            "no partial branching from the aborted period may leak through"
+        );
+    }
+
+    #[test]
+    fn wall_clock_budget_trips() {
+        let trace = mixed_trace();
+        let options = LearnOptions::bounded(8)
+            .with_budget(Budget::unlimited().with_max_wall_clock(Duration::ZERO));
+        let result = robust_learn(&trace, options).unwrap();
+        assert_eq!(result.stats().periods, 0);
+        assert_eq!(result.stats().skipped_periods.len(), trace.periods().len());
+        // d-bottom survives: the partial result is the no-information one.
+        assert!(!result.hypotheses().is_empty());
     }
 }

@@ -157,8 +157,8 @@ impl Learner {
         &self.stats
     }
 
-    /// Mutable statistics access for the robust wrapper (recording skips
-    /// and fallbacks without re-deriving counters).
+    /// Mutable statistics access for the [`crate::IncrementalLearner`]
+    /// (recording skips without re-deriving counters).
     pub(crate) fn stats_mut(&mut self) -> &mut LearnStats {
         &mut self.stats
     }
@@ -255,7 +255,9 @@ impl Learner {
     /// [`LearnError::UniverseMismatch`] if the period was built over a
     /// different task count; [`LearnError::Inconsistent`] if the hypothesis
     /// set becomes empty (trace errors or inexpressible behaviour, §3.1);
-    /// [`LearnError::BudgetExhausted`] if the configured
+    /// [`LearnError::SetLimitExceeded`] if an exact-mode period's working
+    /// set outgrows [`LearnOptions::set_limit`], which empties the
+    /// learner; [`LearnError::BudgetExhausted`] if the configured
     /// [`crate::Budget`] ran out — the step/wall-clock guard runs before
     /// the period is touched and then once every
     /// [`BUDGET_SAMPLE_INTERVAL`] generated hypotheses, so a blow-up
@@ -263,9 +265,11 @@ impl Learner {
     /// pre-period hypothesis set but leaves history and statistics
     /// partway through the period (callers that need transactional
     /// behaviour snapshot first, as
-    /// [`RobustLearner`](crate::RobustLearner) does).
-    /// After an `Inconsistent` error the learner is empty and further
-    /// observations keep failing.
+    /// [`IncrementalLearner`](crate::IncrementalLearner) does; it also
+    /// turns an exact-mode `SetLimitExceeded` or `BudgetExhausted` into
+    /// its bounded fallback, seeded from the pre-period antichain).
+    /// After an `Inconsistent` or `SetLimitExceeded` error the learner is
+    /// empty and further observations keep failing.
     pub fn observe(&mut self, period: &Period) -> Result<(), LearnError> {
         self.observe_with(period, &mut NoopObserver)
     }

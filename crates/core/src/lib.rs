@@ -59,7 +59,6 @@ mod learner;
 mod matching;
 mod options;
 pub mod pool;
-mod robust;
 mod stats;
 mod weight_queue;
 mod witness;
@@ -74,7 +73,9 @@ pub use checkpoint::{
 };
 pub use convergence::{convergence_timeline, convergence_timeline_with, ConvergencePoint};
 pub use error::LearnError;
-pub use incremental::IncrementalLearner;
+pub use incremental::{
+    robust_learn, robust_learn_with, IncrementalLearner, Observed, DEFAULT_FALLBACK_BOUND,
+};
 pub use learner::{
     learn, learn_with, LearnResult, Learner, BOUNDED_BRANCH_WORDS, BUDGET_SAMPLE_INTERVAL,
     PARALLEL_BRANCH_WORDS, PARALLEL_SCAN_WORDS,
@@ -84,8 +85,5 @@ pub use matching::{
     matches_trace, matches_trace_parallel, matches_trace_relaxed, matches_trace_with,
 };
 pub use options::{Budget, LearnOptions, MergeAssumptions, OnInconsistent};
-pub use robust::{
-    robust_learn, robust_learn_with, Observed, RobustLearner, DEFAULT_FALLBACK_BOUND,
-};
 pub use stats::{LearnStats, SkipCause, SkippedPeriod};
 pub use witness::{explain_pair, explain_period, Attribution};

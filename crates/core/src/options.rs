@@ -3,8 +3,8 @@
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
-/// What [`crate::RobustLearner`] does when a period makes the hypothesis
-/// set inconsistent.
+/// What the [`crate::IncrementalLearner`] (and so [`crate::robust_learn`])
+/// does when a period makes the hypothesis set inconsistent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OnInconsistent {
     /// Propagate [`crate::LearnError::Inconsistent`] and stop — the plain
@@ -25,8 +25,10 @@ pub enum OnInconsistent {
 /// Either limit being reached surfaces as
 /// [`crate::LearnError::BudgetExhausted`], which (unlike the other learner
 /// errors) leaves the hypothesis set intact: the partial result is usable,
-/// and [`crate::RobustLearner`] responds by falling back to the bounded
-/// heuristic or stopping early.
+/// and the [`crate::IncrementalLearner`] responds by falling back to the
+/// bounded heuristic (seeded from the current antichain, with the budget
+/// clock carried over, so the budget covers exact plus bounded work) or
+/// stopping early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budget {
     /// Maximum number of generation steps (hypotheses generated across all
@@ -120,8 +122,8 @@ pub struct LearnOptions {
     /// Theorem 1). Ignored in bounded mode, where the bound caps the set.
     pub set_limit: Option<NonZeroUsize>,
     /// Degradation policy when a period is inconsistent (honoured by
-    /// [`crate::RobustLearner`]; the plain [`crate::Learner`] always
-    /// aborts).
+    /// [`crate::IncrementalLearner`] and [`crate::robust_learn`]; the plain
+    /// [`crate::Learner`] always aborts).
     pub on_inconsistent: OnInconsistent,
     /// Step/wall-clock budget, checked before each period.
     pub budget: Budget,

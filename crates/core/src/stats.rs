@@ -4,7 +4,7 @@ use std::fmt;
 
 use bbmg_trace::MessageId;
 
-/// Why [`crate::RobustLearner`] quarantined a period.
+/// Why the [`crate::IncrementalLearner`] quarantined a period.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SkipCause {
     /// The period emptied the hypothesis set; if the failure happened
@@ -29,8 +29,8 @@ impl fmt::Display for SkipCause {
     }
 }
 
-/// One period quarantined during a robust run — no silent data loss: every
-/// dropped observation is accounted for here.
+/// One period quarantined by the [`crate::IncrementalLearner`] — no silent
+/// data loss: every dropped observation is accounted for here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkippedPeriod {
     /// The period's index as seen by the learner.
@@ -63,11 +63,14 @@ pub struct LearnStats {
     pub set_sizes_per_period: Vec<usize>,
     /// Sum over messages of the candidate-pair count `|A_m|`.
     pub candidate_pairs_total: usize,
-    /// Periods quarantined by [`crate::RobustLearner`] (empty for plain
-    /// runs).
+    /// Periods quarantined by the [`crate::IncrementalLearner`] (empty for
+    /// plain [`crate::Learner`] runs). A fallback keeps the records made
+    /// before it.
     pub skipped_periods: Vec<SkippedPeriod>,
-    /// Times the robust learner fell back from the exact algorithm to the
-    /// bounded heuristic (0 or 1 in practice).
+    /// Times the [`crate::IncrementalLearner`] fell back from the exact
+    /// algorithm to the bounded heuristic (0 or 1 in practice). The other
+    /// counters span the whole run: a fallback keeps the exact phase's
+    /// counts and adds the bounded phase's to them.
     pub fallbacks: usize,
 }
 

@@ -1,7 +1,7 @@
 //! The learner event taxonomy.
 //!
-//! Every instrumented layer — the core learner, the robust wrapper, the
-//! trace sanitizer, the fault injector — speaks this one vocabulary, so a
+//! Every instrumented layer — the core learner, its degrading incremental
+//! engine, the trace sanitizer, the fault injector — speaks this one vocabulary, so a
 //! single sink sees the whole pipeline. Hot-path events
 //! ([`MessageBranch`], [`HypothesisSet`], [`Merge`], [`BudgetTick`]) carry
 //! only integers and are cheap to construct; cold-path events (quarantines,
@@ -60,7 +60,7 @@ pub enum Event {
         /// Weight of the merged result.
         merged_weight: u64,
     },
-    /// A period was quarantined (robust learner or trace sanitizer).
+    /// A period was quarantined (incremental learner or trace sanitizer).
     Quarantine {
         /// Period index (original numbering of the emitting layer).
         period: usize,
@@ -88,8 +88,8 @@ pub enum Event {
         /// Fault class, e.g. "dropped_event".
         kind: String,
     },
-    /// The robust learner fell back from the exact algorithm to the
-    /// bounded heuristic.
+    /// The incremental learner fell back from the exact algorithm to the
+    /// bounded heuristic, seeded from the current antichain.
     Fallback {
         /// Bound of the replacement heuristic.
         bound: usize,

@@ -3,8 +3,8 @@
 //! Simulates the paper's 18-task GM case study, injects event-drop faults
 //! at increasing rates, runs the degraded capture through the CSV
 //! pipeline under both degradation policies (`skip` = quarantine broken
-//! periods whole, `repair` = sanitize what is fixable), learns with the
-//! robust learner, and scores each learned model against the semantic
+//! periods whole, `repair` = sanitize what is fixable), learns with
+//! `robust_learn`, and scores each learned model against the semantic
 //! ground truth of the generating design model.
 //!
 //! Run with: `cargo run --release --example fault_tolerance`

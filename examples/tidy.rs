@@ -30,7 +30,6 @@ const EXPECT_ALLOWLIST: &[&str] = &[
     "crates/core/src/learner.rs",
     "crates/core/src/options.rs",
     "crates/core/src/pool.rs",
-    "crates/core/src/robust.rs",
     "crates/lattice/src/arena.rs",
     "crates/lattice/src/task.rs",
     "crates/moc/src/model.rs",

@@ -1,16 +1,11 @@
 //! Cross-crate error-path coverage: resource-guard trips and fallback,
-//! universe mismatches, negative observations after quarantines, and
-//! fault-injected CSV round trips.
+//! universe mismatches, and fault-injected CSV round trips.
 
 use bbmg::core::{
-    learn, robust_learn, LearnError, LearnOptions, Observed, OnInconsistent, RobustLearner,
+    learn, robust_learn, IncrementalLearner, LearnError, LearnOptions, OnInconsistent,
 };
-use bbmg::lattice::TaskUniverse;
 use bbmg::sim::{inject_faults, FaultConfig, Simulator};
-use bbmg::trace::{
-    parse_csv, parse_csv_lenient, parse_csv_raw, write_csv_raw, RawTrace, Timestamp, Trace,
-    TraceBuilder,
-};
+use bbmg::trace::{parse_csv, parse_csv_lenient, parse_csv_raw, write_csv_raw, RawTrace, Trace};
 use bbmg::workloads::{gm, simple};
 
 fn gm_trace(periods: usize, seed: u64) -> Trace {
@@ -33,14 +28,14 @@ fn set_limit_trip_on_gm_falls_back_to_bounded() {
     let err = learn(&trace, options).expect_err("branching exceeds the guard");
     assert!(matches!(err, LearnError::SetLimitExceeded { limit: 8, .. }));
 
-    // ...while the robust learner switches to the bounded heuristic and
+    // ...while the robust run switches to the bounded heuristic and
     // still produces a model from the full trace.
     let result = robust_learn(&trace, options).expect("fallback rescues the run");
     assert_eq!(result.stats().fallbacks, 1);
     assert_eq!(
         result.stats().periods,
         trace.periods().len(),
-        "every period relearned after the fallback"
+        "every period learned, before or after the fallback"
     );
     assert!(result.lub().is_some());
 }
@@ -63,77 +58,12 @@ fn universe_mismatch_on_mixed_traces() {
         }
     );
 
-    // ...and so does the robust one: a universe mismatch is a caller bug,
-    // not trace corruption, so no skip policy hides it.
+    // ...and so does the degrading engine: a universe mismatch is a caller
+    // bug, not trace corruption, so no skip policy hides it.
     let options = LearnOptions::bounded(4).with_on_inconsistent(OnInconsistent::SkipPeriod);
-    let mut robust = RobustLearner::new(simple.task_count(), options);
-    let err = robust.observe(&gm.periods()[0]).unwrap_err();
+    let mut learner = IncrementalLearner::new(simple.task_count(), options);
+    let err = learner.push_period(&gm.periods()[0]).unwrap_err();
     assert!(matches!(err, LearnError::UniverseMismatch { .. }));
-}
-
-/// Three tasks where `a` and `b` finish before a message that `c`
-/// receives, plus one period whose message has no feasible sender.
-fn quarantine_trace() -> Trace {
-    let u = TaskUniverse::from_names(["a", "b", "c"]);
-    let a = u.lookup("a").unwrap();
-    let b = u.lookup("b").unwrap();
-    let c = u.lookup("c").unwrap();
-    let mut builder = TraceBuilder::new(u);
-
-    builder.begin_period();
-    builder
-        .task(a, Timestamp::new(0), Timestamp::new(10))
-        .unwrap();
-    builder
-        .task(b, Timestamp::new(11), Timestamp::new(20))
-        .unwrap();
-    builder
-        .message(Timestamp::new(21), Timestamp::new(22))
-        .unwrap();
-    builder
-        .task(c, Timestamp::new(30), Timestamp::new(40))
-        .unwrap();
-    builder.end_period().unwrap();
-
-    // No task has ended when the message rises: inconsistent.
-    builder.begin_period();
-    builder
-        .message(Timestamp::new(100), Timestamp::new(101))
-        .unwrap();
-    builder
-        .task(c, Timestamp::new(110), Timestamp::new(120))
-        .unwrap();
-    builder.end_period().unwrap();
-
-    builder.finish()
-}
-
-#[test]
-fn observe_negative_still_works_after_a_skipped_period() {
-    let trace = quarantine_trace();
-    let options = LearnOptions::exact().with_on_inconsistent(OnInconsistent::SkipPeriod);
-    let mut learner = RobustLearner::new(3, options);
-
-    assert_eq!(
-        learner.observe(&trace.periods()[0]).unwrap(),
-        Observed::Accepted
-    );
-    assert!(matches!(
-        learner.observe(&trace.periods()[1]).unwrap(),
-        Observed::Skipped(_)
-    ));
-    let survivors = learner.len();
-    assert!(survivors > 0, "quarantine must not empty the learner");
-
-    // A negative example that every surviving hypothesis explains would
-    // eliminate them all — under the skip policy it is quarantined too.
-    let eliminated = learner.observe_negative(&trace.periods()[0]).unwrap();
-    assert_eq!(eliminated, 0);
-    assert_eq!(learner.len(), survivors, "state rolled back exactly");
-    assert_eq!(learner.stats().skipped_periods.len(), 2);
-
-    let result = learner.into_result();
-    assert!(result.lub().is_some());
 }
 
 #[test]

@@ -21,20 +21,27 @@
 //! * 40 random 6–7-task designs (every third with dropped events,
 //!   loaded leniently) through `robust_learn`: exact, `SkipPeriod`,
 //!   `set_limit` 64, so every one of them falls back to the bounded
-//!   heuristic;
-//! * the same designs through `IncrementalLearner`, whose fallback seeds
-//!   the bounded learner from the antichain instead of replaying. Every
-//!   design here trips the limit in its first period, where seeding from
-//!   the antichain and replaying agree, so both groups pin the same
-//!   digest; the two engines still run separate code up to that point.
+//!   heuristic, all in their first period;
+//! * the same designs at `set_limit` 1024, where most fall back and many
+//!   do so after their first period, so the fallback starts from a
+//!   nontrivial exact antichain.
+//!
+//! Beside the pins, a differential test requires every entry point to
+//! the degrading engine to agree with `robust_learn_with` on the
+//! limit-1024 designs: checkpoint and resume at every split, the model
+//! cache's three paths, and a serve shard.
+
+use std::num::NonZeroUsize;
 
 use bbmg::core::{
-    antichain_fingerprint, learn, learn_with, robust_learn, IncrementalLearner, LearnOptions,
-    LearnResult, MergeAssumptions, OnInconsistent,
+    antichain_fingerprint, learn, learn_with, robust_learn, robust_learn_with, CacheHit,
+    Checkpoint, IncrementalLearner, LearnOptions, LearnResult, MergeAssumptions, ModelCache,
+    OnInconsistent,
 };
-use bbmg::obs::{Event, Recorder};
+use bbmg::obs::{Event, NoopObserver, Recorder};
+use bbmg::serve::{ServeOptions, StreamShard, WireKind};
 use bbmg::sim::{inject_faults, FaultConfig};
-use bbmg::trace::{parse_csv_lenient, write_csv_raw, Trace};
+use bbmg::trace::{parse_csv_lenient, write_csv_raw, EventKind, Trace};
 use bbmg::workloads::gm;
 use bbmg::workloads::random::{random_trace, RandomModelConfig};
 
@@ -76,14 +83,7 @@ impl Digest {
     /// Folds in one event's JSON rendering, length first, with the
     /// budget heartbeat's wall-clock reading zeroed.
     fn add_event(&mut self, event: &Event) {
-        let event = match event {
-            Event::BudgetTick { steps, .. } => Event::BudgetTick {
-                steps: *steps,
-                elapsed_micros: 0,
-            },
-            other => other.clone(),
-        };
-        let json = event.to_json(None);
+        let json = without_clock(event).to_json(None);
         self.add(json.len() as u64);
         for chunk in json.as_bytes().chunks(8) {
             let mut word = [0u8; 8];
@@ -91,6 +91,27 @@ impl Digest {
             self.add(u64::from_le_bytes(word));
         }
     }
+}
+
+/// `event` with the budget heartbeat's wall-clock reading zeroed, the one
+/// field that differs between two runs of the same learn.
+fn without_clock(event: &Event) -> Event {
+    match event {
+        Event::BudgetTick { steps, .. } => Event::BudgetTick {
+            steps: *steps,
+            elapsed_micros: 0,
+        },
+        other => other.clone(),
+    }
+}
+
+/// A recorder's events, each [`without_clock`].
+fn events(recorder: &Recorder) -> Vec<Event> {
+    recorder
+        .events()
+        .iter()
+        .map(|timed| without_clock(&timed.event))
+        .collect()
 }
 
 /// Totals alongside each digest, so a mismatch says which count moved.
@@ -152,10 +173,10 @@ fn designs() -> Vec<Trace> {
         .collect()
 }
 
-fn robust_options() -> LearnOptions {
+fn robust_options(set_limit: usize) -> LearnOptions {
     LearnOptions::exact()
         .with_on_inconsistent(OnInconsistent::SkipPeriod)
-        .with_set_limit(64)
+        .with_set_limit(set_limit)
 }
 
 /// The GM case study's trace and the five option sets its sweep runs.
@@ -210,7 +231,7 @@ fn gm_bound_sweep_event_stream_is_pinned() {
 fn robust_learn_on_random_designs_is_pinned() {
     let results: Vec<LearnResult> = designs()
         .iter()
-        .map(|trace| robust_learn(trace, robust_options()).expect("skip policy never aborts"))
+        .map(|trace| robust_learn(trace, robust_options(64)).expect("skip policy never aborts"))
         .collect();
     assert_eq!(
         group(&results),
@@ -224,28 +245,151 @@ fn robust_learn_on_random_designs_is_pinned() {
     );
 }
 
+/// The same designs at set limit 1024, where 34 fall back, 26 of them
+/// after their first period. Recorded from the single seeding engine
+/// when the replaying fallback was removed.
 #[test]
-fn incremental_learner_on_random_designs_is_pinned() {
+fn robust_learn_at_set_limit_1024_is_pinned() {
     let results: Vec<LearnResult> = designs()
         .iter()
-        .map(|trace| {
-            let mut learner = IncrementalLearner::new(trace.task_count(), robust_options());
-            for period in trace.periods() {
-                learner
-                    .push_period(period)
-                    .expect("skip policy never aborts");
-            }
-            learner.finish()
-        })
+        .map(|trace| robust_learn(trace, robust_options(1024)).expect("skip policy never aborts"))
         .collect();
     assert_eq!(
         group(&results),
         Group {
-            digest: 11_305_561_852_954_583_840,
-            generated: 139_612,
-            merges: 70_094,
-            fallbacks: 40,
+            digest: 5_232_534_589_655_836_093,
+            generated: 173_450,
+            merges: 81_956,
+            fallbacks: 34,
             skipped: 12,
         }
+    );
+}
+
+/// Feeds `trace` to a serve shard event by event, with the memory
+/// watermark out of reach so only the learner's own guards degrade it.
+fn serve(trace: &Trace, learn: LearnOptions) -> LearnResult {
+    let options = ServeOptions {
+        learn,
+        watermark_words: usize::MAX,
+        ..ServeOptions::default()
+    };
+    let mut shard = StreamShard::new("design", trace.universe().clone(), options);
+    for period in trace.periods() {
+        for event in period.events() {
+            let (kind, subject) = match event.kind {
+                EventKind::TaskStart(t) => (WireKind::Start, trace.universe().name(t).to_string()),
+                EventKind::TaskEnd(t) => (WireKind::End, trace.universe().name(t).to_string()),
+                EventKind::MessageRise(m) => (WireKind::Rise, format!("m{}", m.index())),
+                EventKind::MessageFall(m) => (WireKind::Fall, format!("m{}", m.index())),
+            };
+            shard
+                .ingest(
+                    period.index(),
+                    event.time.micros(),
+                    kind,
+                    &subject,
+                    &mut NoopObserver,
+                )
+                .expect("every subject is known");
+        }
+    }
+    shard
+        .finish(&mut NoopObserver)
+        .expect("no checkpoint directory")
+        .result
+}
+
+/// Every entry point to the degrading engine ends where
+/// `robust_learn_with` ends, on the limit-1024 designs:
+///
+/// * an `IncrementalLearner` checkpointed to JSON and resumed at every
+///   split: antichain, stats and the concatenated event stream;
+/// * `ModelCache::learn` cold, on a prefix hit and on a full hit;
+/// * a serve shard fed the same events.
+///
+/// Designs whose fallback lands after their first period are the ones a
+/// fallback that replayed the accepted periods, instead of seeding the
+/// bounded learner from the antichain, would learn differently: 26 of the
+/// 34 designs that fall back here. Before the replaying fallback was
+/// removed, `robust_learn_with` parted from the checkpointed engine on
+/// the antichain of 2 designs, the stats of 22 and the event stream of 26.
+#[test]
+fn entry_points_agree_at_set_limit_1024() {
+    let options = robust_options(1024);
+    let dir = std::env::temp_dir().join(format!("bbmg-parity-cache-{}", std::process::id()));
+    let mut late_fallbacks = 0;
+    for (i, trace) in designs().iter().enumerate() {
+        let mut recorder = Recorder::new();
+        let expected =
+            robust_learn_with(trace, options, &mut recorder).expect("skip policy never aborts");
+        let expected_events = events(&recorder);
+        let same = |path: &str, result: &LearnResult| {
+            assert_eq!(
+                antichain_fingerprint(result.hypotheses()),
+                antichain_fingerprint(expected.hypotheses()),
+                "design {i}: {path} antichain"
+            );
+            assert_eq!(result.stats(), expected.stats(), "design {i}: {path} stats");
+        };
+
+        // One run, checkpointed at every period boundary with the length
+        // of its event stream so far.
+        let mut learner = IncrementalLearner::new(trace.task_count(), options);
+        let mut recorder = Recorder::new();
+        let mut saved = vec![(learner.checkpoint().to_json(), 0)];
+        let mut fell_back_late = false;
+        for (k, period) in trace.periods().iter().enumerate() {
+            let exact = learner.options().bound.is_none();
+            learner
+                .push_period_with(period, &mut recorder)
+                .expect("skip policy never aborts");
+            fell_back_late |= k > 0 && exact && learner.options().bound.is_some();
+            saved.push((learner.checkpoint().to_json(), recorder.len()));
+        }
+        late_fallbacks += usize::from(fell_back_late);
+        let straight_events = events(&recorder);
+        for (split, (json, prefix_events)) in saved.iter().enumerate() {
+            let checkpoint = Checkpoint::parse_json(json).expect("checkpoint round-trips");
+            let mut resumed = IncrementalLearner::resume(checkpoint).expect("checkpoint resumes");
+            let mut suffix = Recorder::new();
+            for period in &trace.periods()[split..] {
+                resumed
+                    .push_period_with(period, &mut suffix)
+                    .expect("skip policy never aborts");
+            }
+            same(&format!("resume at {split}"), &resumed.finish());
+            let mut stream = straight_events[..*prefix_events].to_vec();
+            stream.extend(events(&suffix));
+            assert!(
+                stream == expected_events,
+                "design {i}: event stream resumed at {split}"
+            );
+        }
+
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cache = ModelCache::open(&dir, NonZeroUsize::new(4).unwrap()).expect("cache opens");
+        let cold = cache.learn(trace, options).expect("cold learn");
+        assert_eq!(cold.hit, CacheHit::Miss);
+        same("cold cache", &cold.result);
+        let full = cache.learn(trace, options).expect("full hit");
+        assert_eq!(full.hit, CacheHit::Full);
+        same("full cache hit", &full.result);
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cache = ModelCache::open(&dir, NonZeroUsize::new(4).unwrap()).expect("cache opens");
+        let half = trace.periods().len() / 2;
+        cache
+            .learn(&trace.truncated(half), options)
+            .expect("prefix learn");
+        let prefix = cache.learn(trace, options).expect("prefix hit");
+        assert_eq!(prefix.hit, CacheHit::Prefix { periods: half });
+        same("prefix cache hit", &prefix.result);
+
+        same("serve shard", &serve(trace, options));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        late_fallbacks > 0,
+        "some design must fall back after its first period"
     );
 }
