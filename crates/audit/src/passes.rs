@@ -328,12 +328,17 @@ pub(crate) fn audit_corpus(
     };
     let trimmed = text.trim_end();
     let payload_bytes = &trimmed.as_bytes()[start..trimmed.len() - 1];
-    let stored = root
-        .get("checksum")
-        .and_then(Json::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok().filter(|_| s.len() == 16));
+    // Only the writer's spelling counts: `from_str_radix` alone would
+    // read a case-flipped digit (`A` for `a`) as the same sum.
+    let stored = root.get("checksum").and_then(Json::as_str).and_then(|s| {
+        u64::from_str_radix(s, 16)
+            .ok()
+            .filter(|sum| format!("{sum:016x}") == s)
+    });
     let Some(stored) = stored else {
-        out.push(malformed("`checksum` is not a 16-digit hex string".into()));
+        out.push(malformed(
+            "`checksum` is not a 16-digit lower-case hex string".into(),
+        ));
         return None;
     };
     let computed = payload_checksum(payload_bytes);

@@ -1,18 +1,25 @@
 //! The corruption corpus: every class of checkpoint damage must map to
 //! its own stable `BBMG0xx` code, so operators can triage from the code
 //! alone. A seeded random bit-flip sweep (`--ignored`) backs the
-//! hand-built classes with volume.
+//! hand-built classes with volume. A second, default-suite sweep feeds
+//! seeded bit flips and truncations to every other JSON document decoder:
+//! none may panic, and a damaged sealed corpus report never audits clean.
 
 use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use bbmg_audit::{audit_paths, AuditOptions, AuditReport};
 use bbmg_core::{
-    payload_checksum, seal_document, Checkpoint, IncrementalLearner, LearnOptions, CORPUS_SCHEMA,
+    learn_with, payload_checksum, seal_document, Checkpoint, IncrementalLearner, LearnOptions,
+    CORPUS_SCHEMA,
 };
 use bbmg_lattice::DependencyFunction;
+use bbmg_obs::{Metrics, MetricsSnapshot};
+use bbmg_serve::{parse_line, HealthSnapshot, Line, Roster, RosterEntry, ShardHealth, WireKind};
 use bbmg_trace::{btrace_checksum, write_btrace};
 use bbmg_workloads::simple;
+use rand::{Rng, SeedableRng};
 
 /// Learns the paper's 4-task worked example to completion and
 /// checkpoints it: 5 incomparable hypotheses, one packed word each.
@@ -336,6 +343,24 @@ fn torn_corpus_seal_is_malformed() {
 }
 
 #[test]
+fn upper_case_corpus_checksum_is_malformed() {
+    // One flipped case bit turns `a` into `A`: the same number to a hex
+    // reader, but not the seal the writer stamped.
+    let doc = corpus_doc((1, 0, 0, 1), 0.0, &corpus_entry("miss", 0xDEAD));
+    let marker = "\"checksum\":\"";
+    let at = doc.find(marker).expect("checksum field") + marker.len();
+    let upper = format!(
+        "{}{}{}",
+        &doc[..at],
+        doc[at..at + 16].to_uppercase(),
+        &doc[at + 16..]
+    );
+    assert_ne!(upper, doc, "the checksum spells at least one hex letter");
+    let report = audit_file("corpus-upper/report.json", upper.as_bytes());
+    assert_eq!(codes(&report), ["BBMG070"], "{:?}", report.diagnostics);
+}
+
+#[test]
 fn corpus_count_drift_is_bookkeeping() {
     // Two traces claimed, one entry row, and a hit sum of one.
     let doc = corpus_doc((2, 0, 0, 1), 0.5, &corpus_entry("miss", 0xDEAD));
@@ -370,8 +395,6 @@ fn unresolvable_corpus_hit_is_detected() {
 #[test]
 #[ignore = "seeded volume sweep; run with --ignored"]
 fn seeded_bit_flip_sweep() {
-    use rand::{Rng, SeedableRng};
-
     let doc = base_doc().into_bytes();
     let body = doc.len() - 1;
     let dir = std::env::temp_dir().join(format!("bbmg-audit-sweep-{}", std::process::id()));
@@ -389,6 +412,152 @@ fn seeded_bit_flip_sweep() {
             report.errors() >= 1,
             "round {round}: flip of bit {bit} in byte {byte} went undetected: {:?}",
             report.diagnostics
+        );
+    }
+}
+
+/// Mutants per document kind in the decoder sweep.
+const SWEEP_ROUNDS: usize = 1000;
+
+/// Seeded mutants of `doc`: even rounds flip one bit anywhere, odd rounds
+/// truncate inside the body (cutting only trailing whitespace would
+/// leave the document intact).
+fn mutants(doc: &str, seed: u64) -> Vec<Vec<u8>> {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let body = doc.trim_end().len();
+    (0..SWEEP_ROUNDS)
+        .map(|round| {
+            let mut bytes = doc.as_bytes().to_vec();
+            if round % 2 == 0 {
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] ^= 1 << rng.gen_range(0..8u8);
+            } else {
+                bytes.truncate(rng.gen_range(0..body));
+            }
+            bytes
+        })
+        .collect()
+}
+
+/// Feeds every mutant of `doc` to `decode`, lossily decoded to text the
+/// way a reader that replaces bad UTF-8 would, and requires a typed
+/// outcome, never a panic. Every truncation must be rejected.
+fn sweep_decoder<T, E>(name: &str, doc: &str, seed: u64, decode: impl Fn(&str) -> Result<T, E>) {
+    assert!(decode(doc).is_ok(), "{name}: the pristine document decodes");
+    let mut rejected = 0;
+    for (round, bytes) in mutants(doc, seed).into_iter().enumerate() {
+        let text = String::from_utf8_lossy(&bytes);
+        match catch_unwind(AssertUnwindSafe(|| decode(&text).is_err())) {
+            Ok(err) => rejected += usize::from(err),
+            Err(_) => panic!("{name}: round {round} panicked on {text:?}"),
+        }
+    }
+    assert!(
+        rejected >= SWEEP_ROUNDS / 2,
+        "{name}: only {rejected} of {SWEEP_ROUNDS} mutants rejected"
+    );
+}
+
+#[test]
+fn serve_feed_line_mutants_never_panic() {
+    let hello = Line::Hello {
+        source: "bus Ō/😀".into(),
+        tasks: vec!["sensor \"a\"".into(), "中".into(), "b\\c\n".into()],
+    };
+    sweep_decoder("hello line", &hello.to_json(), 0x11, parse_line);
+    let event = Line::Event {
+        source: "bus0".into(),
+        period: 12,
+        time: 120_045,
+        kind: WireKind::Rise,
+        subject: "m7".into(),
+    };
+    sweep_decoder("event line", &event.to_json(), 0x12, parse_line);
+}
+
+#[test]
+fn roster_mutants_never_panic() {
+    let mut roster = Roster::new();
+    for (source, restarts, state) in [("bus0", 1, "exact"), ("bus Ō", 0, "degraded")] {
+        roster.record(RosterEntry {
+            source: source.into(),
+            checkpoint: format!("{source}.ckpt"),
+            restarts,
+            periods: 40,
+            state: state.into(),
+        });
+    }
+    sweep_decoder("roster", &roster.to_json(), 0x13, Roster::parse_json);
+}
+
+#[test]
+fn health_mutants_never_panic() {
+    let shard = |source: &str, state: &str, open| ShardHealth {
+        source: source.into(),
+        state: state.into(),
+        open,
+        periods: 27,
+        events: 1_204,
+        pending_events: 3,
+        restarts: 1,
+        memory_words: 4_096,
+        watermark_words: 1 << 20,
+        checkpoint_age_periods: 2,
+        ..ShardHealth::default()
+    };
+    let snapshot = HealthSnapshot {
+        seq: 3,
+        uptime_us: 1_973,
+        lines: 1_210,
+        shards: vec![
+            shard("bus0", "exact", false),
+            shard("bus1", "shedding", true),
+        ],
+    };
+    sweep_decoder(
+        "health",
+        &snapshot.to_json(),
+        0x14,
+        HealthSnapshot::parse_json,
+    );
+}
+
+#[test]
+fn metrics_mutants_never_panic() {
+    let mut metrics = Metrics::new();
+    learn_with(
+        &simple::figure_2_trace(),
+        LearnOptions::exact(),
+        &mut metrics,
+    )
+    .expect("clean trace");
+    let doc = metrics.snapshot().to_json();
+    sweep_decoder("metrics", &doc, 0x15, MetricsSnapshot::parse_json);
+}
+
+#[test]
+fn corpus_report_mutants_never_audit_clean() {
+    let entries = format!(
+        "{},{}",
+        corpus_entry("miss", 0x6858_1e27_390c_d966),
+        corpus_entry("full", 0xDEAD_BEEF)
+    );
+    let doc = corpus_doc((2, 1, 0, 1), 0.5, &entries);
+    let dir = std::env::temp_dir().join(format!("bbmg-audit-corpus-sweep-{}", std::process::id()));
+    fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("report.json");
+    let audit = |bytes: &[u8]| {
+        fs::write(&path, bytes).expect("write artifact");
+        audit_paths(std::slice::from_ref(&path), &AuditOptions::default())
+    };
+    let pristine = audit(doc.as_bytes());
+    assert!(pristine.is_clean(true), "{:?}", pristine.diagnostics);
+    for (round, bytes) in mutants(&doc, 0x16).into_iter().enumerate() {
+        let report = audit(&bytes);
+        assert!(
+            !report.is_clean(true),
+            "round {round}: mutant audits clean: {:?}",
+            String::from_utf8_lossy(&bytes)
         );
     }
 }

@@ -36,9 +36,11 @@ pub const BENCH_OBSERVER_SCHEMA: &str = "bbmg-bench-observer/2";
 
 /// Schema tag of the corpus-ingest benchmark artifact
 /// (`BENCH_corpus.json`): cold-vs-warm model-cache throughput over a
-/// 90%-duplicate corpus and CSV-vs-binary trace parse timings, with
-/// validator-enforced floors (warm ≥ 5x cold, binary parse ≥ 3x CSV).
-pub const BENCH_CORPUS_SCHEMA: &str = "bbmg-bench-corpus/1";
+/// 90%-duplicate corpus, CSV-vs-binary trace parse timings, and
+/// checkpoint parse cost per KB at two sizes, with validator-enforced
+/// floors (warm ≥ 5x cold, binary parse ≥ 3x CSV, checkpoint cost per KB
+/// at the large size ≤ 2x the small one's).
+pub const BENCH_CORPUS_SCHEMA: &str = "bbmg-bench-corpus/2";
 
 /// The bound column of the paper's §3.4 runtime table.
 pub const PAPER_BOUNDS: [usize; 8] = [1, 4, 16, 32, 64, 100, 120, 150];

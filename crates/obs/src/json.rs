@@ -4,10 +4,11 @@
 //! The workspace bans external runtime dependencies, so the JSONL event
 //! sink, the metrics snapshot, and the Chrome-trace exporter serialize by
 //! hand through [`escape`]/[`push_escaped`], and the CI schema validator
-//! parses through [`parse`]. The parser covers the full JSON grammar but is
-//! tuned for the small documents this crate emits — it recurses on nesting
-//! depth (capped) and keeps object keys in document order so strict schema
-//! validation can report *which* field is unknown.
+//! parses through [`parse`]. The parser covers the full JSON grammar and
+//! runs in time linear in the document, so it also decodes checkpoints and
+//! serve feeds of any size. It recurses on nesting depth (capped) and keeps
+//! object keys in document order so strict schema validation can report
+//! *which* field is unknown.
 
 use std::fmt;
 
@@ -123,6 +124,7 @@ pub fn escape(text: &str) -> String {
 /// Returns a [`JsonParseError`] pointing at the first offending byte.
 pub fn parse(text: &str) -> Result<Json, JsonParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -136,6 +138,7 @@ pub fn parse(text: &str) -> Result<Json, JsonParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -282,13 +285,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.error("eof"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\`. Both are
+                    // ASCII, so the run ends on a character boundary of
+                    // the `&str` input and no byte is looked at twice.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let end = self.pos + run.unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -305,8 +309,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid utf-8 in number"))?;
+        let text = &self.text[start..self.pos];
         text.parse()
             .map(Json::Number)
             .map_err(|_| self.error(format!("bad number `{text}`")))
@@ -370,5 +373,120 @@ mod tests {
     fn deep_nesting_is_capped() {
         let doc = format!("{}1{}", "[".repeat(100), "]".repeat(100));
         assert!(parse(&doc).is_err());
+    }
+
+    fn string(text: &str) -> Json {
+        Json::String(text.to_owned())
+    }
+
+    fn error(offset: usize, message: &str) -> Result<Json, JsonParseError> {
+        Err(JsonParseError {
+            offset,
+            message: message.to_owned(),
+        })
+    }
+
+    #[test]
+    fn multibyte_characters_next_to_escapes() {
+        assert_eq!(parse(r#""Ō\n😀\"x""#), Ok(string("Ō\n😀\"x")));
+        assert_eq!(parse(r#""😀""#), Ok(string("😀")));
+        assert_eq!(parse(r#""\\Ō""#), Ok(string("\\Ō")));
+        assert_eq!(parse(r#""€\\""#), Ok(string("€\\")));
+        assert_eq!(parse(r#""\t中é𝄞""#), Ok(string("\t中é𝄞")));
+        assert_eq!(
+            parse(r#"{"ключ":"значение","😀":["Ō"]}"#),
+            Ok(Json::Object(vec![
+                ("ключ".into(), string("значение")),
+                ("😀".into(), Json::Array(vec![string("Ō")])),
+            ]))
+        );
+    }
+
+    /// A `\u` escape of `code`, spelled out so no literal escape
+    /// sequence appears in this file.
+    fn u(code: u32) -> String {
+        format!("\\u{code:04x}")
+    }
+
+    #[test]
+    fn unicode_escapes_decode_and_lone_surrogates_become_replacement() {
+        let doc = format!("\"{}{}{}Ō\"", u(0x41), u(0xe9), u(0x20ac));
+        assert_eq!(parse(&doc), Ok(string("Aé€Ō")));
+        assert_eq!(parse(&format!("\"{}\"", u(0))), Ok(string("\u{0}")));
+        assert_eq!(
+            parse(&format!("\"a{}b\"", u(0xd800))),
+            Ok(string("a\u{fffd}b"))
+        );
+        // Pairs are not combined: each half maps to U+FFFD on its own.
+        assert_eq!(
+            parse(&format!("\"{}{}😀\"", u(0xd83d), u(0xde00))),
+            Ok(string("\u{fffd}\u{fffd}😀"))
+        );
+        // Upper-case hex digits, and the leading `+` that
+        // `u32::from_str_radix` accepts.
+        let upper = u(0xc9).replace("c9", "C9");
+        assert_eq!(parse(&format!("\"{upper}\"")), Ok(string("É")));
+        assert_eq!(parse(r#""\u+041""#), Ok(string("A")));
+    }
+
+    #[test]
+    fn raw_control_characters_are_accepted() {
+        assert_eq!(
+            parse("\"a\u{1}\tb\nc\u{1f}\""),
+            Ok(string("a\u{1}\tb\nc\u{1f}"))
+        );
+    }
+
+    #[test]
+    fn string_errors_keep_their_message_and_offset() {
+        assert_eq!(parse(r#""abc"#), error(4, "unterminated string"));
+        assert_eq!(parse("\"Ō😀"), error(7, "unterminated string"));
+        assert_eq!(parse(r#"["a", "b"#), error(8, "unterminated string"));
+        assert_eq!(parse(r#""a\q""#), error(3, "bad escape"));
+        assert_eq!(parse(r#""Ō\"#), error(4, "bad escape"));
+        assert_eq!(parse(r#""\u12""#), error(2, "bad \\u escape"));
+        assert_eq!(parse(r#""x\u00e"#), error(3, "bad \\u escape"));
+        assert_eq!(parse(r#""\uzzzz""#), error(2, "bad \\u escape"));
+        assert_eq!(parse(r#""\u00é""#), error(2, "bad \\u escape"));
+        assert_eq!(
+            parse(r#"{"a":"b"#).map_err(|e| e.to_string()),
+            Err("json error at byte 7: unterminated string".to_owned())
+        );
+    }
+
+    /// Alphabet for the round trip: ASCII, 2-, 3- and 4-byte characters,
+    /// the two string delimiters, and control characters.
+    const ALPHABET: [char; 16] = [
+        'a', 'Z', ' ', '"', '\\', '/', '\n', '\t', '\u{0}', '\u{1f}', 'é', 'Ō', '€', '中', '😀',
+        '𝄞',
+    ];
+
+    #[test]
+    fn seeded_escape_round_trip() {
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..500 {
+            let len = next() % 40;
+            let text: String = (0..len)
+                .map(|_| ALPHABET[(next() % ALPHABET.len() as u64) as usize])
+                .collect();
+            assert_eq!(parse(&escape(&text)), Ok(string(&text)), "{text:?}");
+            let doc = format!("{{{}:[{}]}}", escape(&text), escape(&text));
+            assert_eq!(
+                parse(&doc),
+                Ok(Json::Object(vec![(
+                    text.clone(),
+                    Json::Array(vec![string(&text)])
+                )])),
+                "{doc:?}"
+            );
+        }
     }
 }

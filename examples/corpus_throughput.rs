@@ -1,7 +1,7 @@
 //! Measures the corpus-ingest hot paths and writes the
 //! `BENCH_corpus.json` artifact.
 //!
-//! Two sections:
+//! Three sections:
 //!
 //! * **parse** — one generated trace serialized both ways, parsed back
 //!   at three tiers: the pre-optimization CSV shape (`lines()` +
@@ -15,11 +15,17 @@
 //!   a fresh cache directory (2 learns + 18 full hits) against a warm
 //!   second pass (20 full hits). Cache hits return byte-identical
 //!   results (see `tests/corpus.rs`), so only wall time differs.
+//! * **checkpoint** — [`Checkpoint::parse_json`], the load behind every
+//!   cache hit and `bbmg resume`, on two synthetic 18-task checkpoints
+//!   (64 and 1,024 hypotheses; 64 and 512 with `--quick`). The cost per
+//!   KB of the large one over the small one's is `checkpoint_scaling`:
+//!   about 1 when loading is linear in the document's size.
 //!
 //! Floors asserted here and re-enforced by `validate_bench_corpus`:
 //! binary parse ≥ 3x CSV, byte-slice CSV ≥ 1x the allocating reference,
-//! warm corpus pass ≥ 5x the cold pass. `cpu_threads` records what the
-//! host actually offered — a 1-core container reports 1.
+//! warm corpus pass ≥ 5x the cold pass, `checkpoint_scaling` ≤ 2.
+//! `cpu_threads` records what the host actually offered — a 1-core
+//! container reports 1.
 //!
 //! Run with: `cargo run --release --example corpus_throughput`
 //! (pass `--quick` for the CI smoke variant).
@@ -28,19 +34,35 @@ use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
-use bbmg::core::{CacheHit, LearnOptions, ModelCache};
-use bbmg::lattice::TaskUniverse;
+use bbmg::core::{CacheHit, Checkpoint, IncrementalLearner, LearnOptions, ModelCache};
+use bbmg::lattice::{DependencyFunction, TaskId, TaskUniverse, ALL_VALUES};
 use bbmg::sim::{SimConfig, Simulator};
 use bbmg::trace::{
     parse_btrace, parse_csv, write_btrace, write_csv, EventKind, MessageId, Timestamp, Trace,
     TraceBuilder,
 };
 use bbmg::workloads::random::{random_model, RandomModelConfig};
+use rand::{Rng, SeedableRng};
 
 /// Corpus shape: `FILES` traces of which `UNIQUE` are distinct — a 90%
 /// duplicate ratio, the shape the cache is built for.
 const FILES: usize = 20;
 const UNIQUE: usize = 2;
+
+/// Task count of the synthetic checkpoints: the GM case study's.
+const CHECKPOINT_TASKS: usize = 18;
+
+/// Timed parses of each synthetic checkpoint.
+const CHECKPOINT_SAMPLES: usize = 21;
+
+/// Hypothesis counts of the small and the large synthetic checkpoint.
+fn checkpoint_sizes(quick: bool) -> (usize, usize) {
+    if quick {
+        (64, 512)
+    } else {
+        (64, 1024)
+    }
+}
 
 fn iterations(quick: bool) -> usize {
     if quick {
@@ -144,6 +166,28 @@ fn parse_csv_split_alloc(input: &str) -> Trace {
         builder.end_period().expect("valid period");
     }
     builder.finish()
+}
+
+/// A checkpoint of a fresh 18-task learner whose antichain is replaced by
+/// `hypotheses` seeded functions, every off-diagonal cell drawn from the
+/// seven lattice values — words as varied as a long run's.
+fn synthetic_checkpoint(hypotheses: usize) -> Checkpoint {
+    let mut checkpoint =
+        IncrementalLearner::new(CHECKPOINT_TASKS, LearnOptions::bounded(64)).checkpoint();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(hypotheses as u64);
+    checkpoint.hypotheses = (0..hypotheses)
+        .map(|_| {
+            let mut function = DependencyFunction::bottom(CHECKPOINT_TASKS);
+            for a in 0..CHECKPOINT_TASKS {
+                for b in (0..CHECKPOINT_TASKS).filter(|&b| b != a) {
+                    let value = ALL_VALUES[rng.gen_range(0..ALL_VALUES.len())];
+                    function.set(TaskId::from_index(a), TaskId::from_index(b), value);
+                }
+            }
+            function
+        })
+        .collect();
+    checkpoint
 }
 
 /// Runs `f` `iterations` times and returns every wall time in micros.
@@ -288,6 +332,50 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "warm cache pass is only {warm_speedup:.2}x cold, below the 5x floor"
     );
 
+    // --- checkpoint ----------------------------------------------------
+    let (small_hypotheses, large_hypotheses) = checkpoint_sizes(quick);
+    let docs = [small_hypotheses, large_hypotheses].map(|hypotheses| {
+        let doc = synthetic_checkpoint(hypotheses).to_json();
+        let parsed = Checkpoint::parse_json(&doc).expect("own output");
+        assert_eq!(parsed.to_json(), doc, "synthetic checkpoint round-trips");
+        doc
+    });
+    // Alternate the two sizes so both see the same host phases.
+    let mut samples = [Vec::new(), Vec::new()];
+    for _ in 0..CHECKPOINT_SAMPLES {
+        for (doc, times) in docs.iter().zip(&mut samples) {
+            times.extend(time_micros(1, || {
+                std::hint::black_box(
+                    Checkpoint::parse_json(std::hint::black_box(doc)).expect("parses"),
+                );
+            }));
+        }
+    }
+    let [small_median, large_median] = samples.map(|times| median(&times).max(1));
+    let [small_bytes, large_bytes] = docs.map(|doc| doc.len());
+    let per_kb = |micros: u64, bytes: usize| micros as f64 * 1024.0 / bytes as f64;
+    let small_per_kb = per_kb(small_median, small_bytes);
+    let large_per_kb = per_kb(large_median, large_bytes);
+    let checkpoint_scaling = large_per_kb / small_per_kb;
+    println!(
+        "\ncheckpoint parse ({CHECKPOINT_TASKS} tasks, median of {CHECKPOINT_SAMPLES} parses):"
+    );
+    for (hypotheses, median, bytes, per_kb) in [
+        (small_hypotheses, small_median, small_bytes, small_per_kb),
+        (large_hypotheses, large_median, large_bytes, large_per_kb),
+    ] {
+        println!(
+            "{:<16} {median:>10} us  {per_kb:>8.3} us/KB  ({bytes} bytes)",
+            format!("{hypotheses} hypotheses")
+        );
+    }
+    println!("{:<16} {checkpoint_scaling:>10.2}x per KB", "scaling");
+    assert!(
+        checkpoint_scaling <= 2.0,
+        "checkpoint parse costs {checkpoint_scaling:.2}x as much per KB at \
+         {large_hypotheses} hypotheses as at {small_hypotheses}, above the 2x linearity floor"
+    );
+
     // Hand-rolled JSON: fixed keys and numbers only, nothing to escape.
     let mut json = format!("{{\"schema\":\"{}\",", bbmg_bench::BENCH_CORPUS_SCHEMA);
     write!(
@@ -308,7 +396,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\"corpus\":{{\"files\":{FILES},\"unique\":{UNIQUE},\"duplicate_ratio\":{duplicate_ratio:.2},\
          \"cold_median_micros\":{cold_median},\"cold_traces_per_sec\":{cold_tps:.1},\
          \"warm_median_micros\":{warm_median},\"warm_traces_per_sec\":{warm_tps:.1},\
-         \"warm_speedup\":{warm_speedup:.2}}}}}"
+         \"warm_speedup\":{warm_speedup:.2}}},"
+    )?;
+    write!(
+        json,
+        "\"checkpoint\":{{\"tasks\":{CHECKPOINT_TASKS},\"samples\":{CHECKPOINT_SAMPLES},\
+         \"small_hypotheses\":{small_hypotheses},\"small_bytes\":{small_bytes},\
+         \"small_median_micros\":{small_median},\"small_micros_per_kb\":{small_per_kb:.3},\
+         \"large_hypotheses\":{large_hypotheses},\"large_bytes\":{large_bytes},\
+         \"large_median_micros\":{large_median},\"large_micros_per_kb\":{large_per_kb:.3},\
+         \"checkpoint_scaling\":{checkpoint_scaling:.2}}}}}"
     )?;
     json.push('\n');
 

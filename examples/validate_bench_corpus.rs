@@ -1,5 +1,5 @@
 //! Validates a `BENCH_corpus.json` artifact against the strict
-//! `bbmg-bench-corpus/1` schema — unknown, missing and duplicate fields
+//! `bbmg-bench-corpus/2` schema — unknown, missing and duplicate fields
 //! are all errors. Beyond shape, the validator enforces the tentpole's
 //! performance floors unconditionally (they hold on every host the
 //! benchmark has been run on, including single-core containers):
@@ -11,6 +11,9 @@
 //! - `corpus.warm_speedup >= 5.0` — a warm model cache over the
 //!   90%-duplicate corpus must ingest at least 5x faster than the cold
 //!   first pass.
+//! - `checkpoint.checkpoint_scaling <= 2.0` — parsing the large synthetic
+//!   checkpoint may cost at most 2x as much per KB as the small one:
+//!   checkpoint loads stay linear in the document's size.
 //!
 //! Run with: `cargo run --example validate_bench_corpus -- BENCH_corpus.json`
 
@@ -60,6 +63,7 @@ fn validate(document: &Json) -> Result<(), String> {
             "quick",
             "parse",
             "corpus",
+            "checkpoint",
         ],
     )?;
     match document.get("schema").and_then(Json::as_str) {
@@ -186,6 +190,81 @@ fn validate(document: &Json) -> Result<(), String> {
         return Err(format!(
             "corpus: warm_speedup {warm_speedup:.2} is below the 5.0x floor \
              for a warm cache over a 90%-duplicate corpus"
+        ));
+    }
+    validate_checkpoint(
+        document
+            .get("checkpoint")
+            .ok_or_else(|| "checkpoint must be present".to_string())?,
+    )
+}
+
+fn validate_checkpoint(checkpoint: &Json) -> Result<(), String> {
+    exact_object(
+        checkpoint,
+        "checkpoint",
+        &[
+            "tasks",
+            "samples",
+            "small_hypotheses",
+            "small_bytes",
+            "small_median_micros",
+            "small_micros_per_kb",
+            "large_hypotheses",
+            "large_bytes",
+            "large_median_micros",
+            "large_micros_per_kb",
+            "checkpoint_scaling",
+        ],
+    )?;
+    if u64_field(checkpoint, "checkpoint", "tasks")? == 0 {
+        return Err("checkpoint: tasks must be at least 1".into());
+    }
+    if u64_field(checkpoint, "checkpoint", "samples")? == 0 {
+        return Err("checkpoint: samples must be at least 1".into());
+    }
+    let mut per_kb = [0.0; 2];
+    let mut sizes = [(0, 0); 2];
+    for (i, size) in ["small", "large"].into_iter().enumerate() {
+        let hypotheses = u64_field(checkpoint, "checkpoint", &format!("{size}_hypotheses"))?;
+        let bytes = u64_field(checkpoint, "checkpoint", &format!("{size}_bytes"))?;
+        let micros = u64_field(checkpoint, "checkpoint", &format!("{size}_median_micros"))?;
+        let stored = f64_field(checkpoint, "checkpoint", &format!("{size}_micros_per_kb"))?;
+        if hypotheses == 0 || bytes == 0 || micros == 0 {
+            return Err(format!(
+                "checkpoint: {size}_hypotheses, {size}_bytes and {size}_median_micros \
+                 must be at least 1"
+            ));
+        }
+        let expected = micros as f64 * 1024.0 / bytes as f64;
+        if (stored - expected).abs() > 0.001 + expected * 1e-6 {
+            return Err(format!(
+                "checkpoint: {size}_micros_per_kb {stored:.3} disagrees with \
+                 {size}_median_micros * 1024 / {size}_bytes = {expected:.3}"
+            ));
+        }
+        per_kb[i] = expected;
+        sizes[i] = (hypotheses, bytes);
+    }
+    if sizes[1].0 < 8 * sizes[0].0 || sizes[1].1 <= sizes[0].1 {
+        return Err(format!(
+            "checkpoint: the large checkpoint ({} hypotheses, {} bytes) must hold at \
+             least 8x the small one's {} hypotheses and more bytes than its {}",
+            sizes[1].0, sizes[1].1, sizes[0].0, sizes[0].1
+        ));
+    }
+    let scaling = f64_field(checkpoint, "checkpoint", "checkpoint_scaling")?;
+    let expected = per_kb[1] / per_kb[0];
+    if (scaling - expected).abs() > 0.005 + expected * 1e-6 {
+        return Err(format!(
+            "checkpoint: checkpoint_scaling {scaling:.2} disagrees with \
+             large_micros_per_kb / small_micros_per_kb = {expected:.3}"
+        ));
+    }
+    if scaling > 2.0 {
+        return Err(format!(
+            "checkpoint: checkpoint_scaling {scaling:.2} is above the 2.0 linearity floor \
+             (parse cost per KB must not grow with the checkpoint's size)"
         ));
     }
     Ok(())
