@@ -19,6 +19,9 @@
 //!    snapshot `seq` values advance; state words are known.
 //! 5. **Replay consistency** — optionally re-learn the trace prefix a
 //!    checkpoint claims to have absorbed and diff antichain fingerprints.
+//! 6. **Benchmark rules** — a `bbmg-bench-*` report must meet its schema's
+//!    shape and performance-floor rules ([`bbmg_bench::rules`]), the same
+//!    ones its harness checked before writing it.
 //!
 //! Findings carry stable `BBMG0xx` codes (see [`diag::codes`]) so CI and
 //! scripts can match on them; [`AuditReport::to_json`] emits the
@@ -286,9 +289,7 @@ fn audit_candidate(
                 dirs.entry(dir).or_default().corpus.push((artifact, hits));
             }
         }
-        // A bench report's contract is just its schema tag (validated
-        // during classification); numbers are machine-specific.
-        ArtifactKind::Bench => {}
+        ArtifactKind::Bench => passes::audit_bench(&artifact, &text, diags),
     }
 }
 

@@ -255,6 +255,19 @@ pub(crate) fn audit_metrics(
     }
 }
 
+/// Benchmark artifact pass: the shape and floor rules of the document's
+/// `bbmg-bench-*` schema, the same rules its harness wrote it under.
+pub(crate) fn audit_bench(artifact: &str, text: &str, out: &mut Vec<Diagnostic>) {
+    let verdict = json::parse(text)
+        .map_err(|err| (&codes::NOT_JSON, err.to_string()))
+        .and_then(|document| {
+            bbmg_bench::rules::check(&document).map_err(|rule| (&codes::MALFORMED, rule))
+        });
+    if let Err((code, message)) = verdict {
+        out.push(error(code, artifact, message));
+    }
+}
+
 /// Binary trace deep-verify: full decode through the same
 /// [`TraceBuilder`](bbmg_trace::TraceBuilder) validation the loaders run.
 /// Header problems (missing magic, promised-but-absent bytes) map to

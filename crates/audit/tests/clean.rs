@@ -1,8 +1,9 @@
 //! Positive coverage: everything the toolchain actually writes must
 //! audit clean — learner checkpoints (replay included), checkpoints
-//! learned from sanitizer-repaired faulty traces, and
-//! roster/health/metrics document sets — plus targeted cross-document
-//! findings that only the multi-artifact passes can produce.
+//! learned from sanitizer-repaired faulty traces,
+//! roster/health/metrics document sets, and the committed `BENCH_*.json`
+//! artifacts — plus targeted cross-document findings that only the
+//! multi-artifact passes can produce.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -300,4 +301,33 @@ fn replay_gates_and_mismatch() {
     );
     let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code.id).collect();
     assert!(codes.contains(&"BBMG050"), "{:?}", report.diagnostics);
+}
+
+#[test]
+fn committed_bench_artifacts_audit_clean() {
+    let dir = scratch_dir("bench");
+    let artifacts = [
+        (
+            "BENCH_learner.json",
+            include_str!("../../../BENCH_learner.json"),
+        ),
+        (
+            "BENCH_serve.json",
+            include_str!("../../../BENCH_serve.json"),
+        ),
+        (
+            "BENCH_corpus.json",
+            include_str!("../../../BENCH_corpus.json"),
+        ),
+        (
+            "BENCH_observer.json",
+            include_str!("../../../BENCH_observer.json"),
+        ),
+    ];
+    for (name, text) in artifacts {
+        fs::write(dir.join(name), text).expect("write artifact");
+    }
+    let report = audit_paths(&[dir], &AuditOptions::default());
+    assert_clean(&report);
+    assert_eq!(report.files_audited, 4);
 }

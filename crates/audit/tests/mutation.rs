@@ -3,7 +3,10 @@
 //! alone. A seeded random bit-flip sweep (`--ignored`) backs the
 //! hand-built classes with volume. A second, default-suite sweep feeds
 //! seeded bit flips and truncations to every other JSON document decoder:
-//! none may panic, and a damaged sealed corpus report never audits clean.
+//! none may panic, a damaged sealed corpus report never audits clean, and
+//! a truncated benchmark artifact always audits with an error. A
+//! benchmark artifact that parses but breaks its schema's rules is
+//! BBMG011.
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -559,5 +562,72 @@ fn corpus_report_mutants_never_audit_clean() {
             "round {round}: mutant audits clean: {:?}",
             String::from_utf8_lossy(&bytes)
         );
+    }
+}
+
+/// The committed benchmark artifacts, each with the name it is audited
+/// under.
+const BENCH_ARTIFACTS: [(&str, &str); 4] = [
+    (
+        "BENCH_learner.json",
+        include_str!("../../../BENCH_learner.json"),
+    ),
+    (
+        "BENCH_serve.json",
+        include_str!("../../../BENCH_serve.json"),
+    ),
+    (
+        "BENCH_corpus.json",
+        include_str!("../../../BENCH_corpus.json"),
+    ),
+    (
+        "BENCH_observer.json",
+        include_str!("../../../BENCH_observer.json"),
+    ),
+];
+
+#[test]
+fn bench_rule_violations_are_malformed() {
+    let learner = BENCH_ARTIFACTS[0].1;
+    let renamed = learner.replacen("\"kernels\":", "\"kernel_rows\":", 1);
+    let negative = learner.replacen("\"speedup_vs_1\":1}", "\"speedup_vs_1\":-1}", 1);
+    let both = renamed.replacen("\"speedup_vs_1\":1}", "\"speedup_vs_1\":-1}", 1);
+    for (name, doc) in [
+        ("renamed", &renamed),
+        ("negative", &negative),
+        ("both", &both),
+    ] {
+        assert_ne!(doc, learner, "{name}: the mutation applies");
+        let report = audit_file(&format!("bench-{name}/BENCH_learner.json"), doc.as_bytes());
+        assert_eq!(
+            codes(&report),
+            ["BBMG011"],
+            "{name}: {:?}",
+            report.diagnostics
+        );
+        assert_eq!(report.errors(), 1, "{name}: a rule violation is an error");
+    }
+}
+
+#[test]
+fn bench_artifact_mutants_never_panic() {
+    let dir = std::env::temp_dir().join(format!("bbmg-audit-bench-sweep-{}", std::process::id()));
+    fs::create_dir_all(&dir).expect("scratch dir");
+    for (seed, (name, doc)) in (0x17..).zip(BENCH_ARTIFACTS) {
+        let path = dir.join(name);
+        for (round, bytes) in mutants(doc, seed).into_iter().enumerate() {
+            fs::write(&path, &bytes).expect("write artifact");
+            let report = catch_unwind(AssertUnwindSafe(|| {
+                audit_paths(std::slice::from_ref(&path), &AuditOptions::default())
+            }))
+            .unwrap_or_else(|_| panic!("{name}: round {round} panicked"));
+            if round % 2 == 1 {
+                assert!(
+                    report.errors() >= 1,
+                    "{name}: truncation in round {round} audits without an error: {:?}",
+                    String::from_utf8_lossy(&bytes)
+                );
+            }
+        }
     }
 }

@@ -278,7 +278,8 @@ impl Learner {
     /// step, set-size change, merge, and budget heartbeat is reported to
     /// `observer`. `observe` itself delegates here with
     /// [`NoopObserver`], whose empty hooks inline away — the uninstrumented
-    /// path pays nothing (see the `observer_overhead` bench).
+    /// path pays nothing (measured by the `observer_overhead` example
+    /// in `BENCH_observer.json`).
     ///
     /// # Errors
     ///

@@ -8,7 +8,7 @@
 //! by an `n²`-bit *pair set*: the (sender, receiver) pairs the learner
 //! assumed for the current period's messages
 //! ([`with_pair_sets`](FunctionArena::with_pair_sets)). Whole-set
-//! operations (`⊑` sweeps, domination scans, LUB folds) stream over the
+//! operations (`⊑` sweeps, domination scans) stream over the
 //! function-word prefix of adjacent rows instead of chasing one heap
 //! allocation per function, and the branch-and-merge steps are row
 //! kernels that append one row without allocating:
@@ -571,33 +571,6 @@ impl FunctionArena {
                     .all(|(&a, &b)| word_leq(a, b))
         })
     }
-
-    /// The least upper bound of every stored function, as one
-    /// accumulator pass over the contiguous buffer (`⊔` is word-wise OR,
-    /// so the fold never allocates an intermediate). `None` when empty.
-    #[must_use]
-    pub fn join_all(&self) -> Option<DependencyFunction> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut acc = self.row(0).to_vec();
-        for i in 1..self.len() {
-            for (a, &b) in acc.iter_mut().zip(self.row(i)) {
-                *a = word_join(*a, b);
-            }
-        }
-        Some(
-            DependencyFunction::from_words(self.tasks, acc)
-                .expect("a join of valid packed stores is a valid packed store"),
-        )
-    }
-
-    /// Sum of the cached weight column (the batched form of per-function
-    /// `weight()` calls over a whole set).
-    #[must_use]
-    pub fn total_weight(&self) -> u64 {
-        self.weights.iter().sum()
-    }
 }
 
 /// A row index as stored in the dedup index.
@@ -889,30 +862,6 @@ mod tests {
         assert!(
             !arena_eq.dominated_in_prefix(1, 1),
             "equal weight cannot strictly dominate"
-        );
-    }
-
-    #[test]
-    fn join_all_is_the_fold_of_joins() {
-        let functions: Vec<DependencyFunction> = (0..5).map(|s| scrambled(7, s)).collect();
-        let arena = FunctionArena::from_functions(7, &functions);
-        let expected = functions[1..]
-            .iter()
-            .fold(functions[0].clone(), |acc, d| acc.join(d));
-        assert_eq!(arena.join_all(), Some(expected));
-        assert_eq!(FunctionArena::new(7).join_all(), None);
-    }
-
-    #[test]
-    fn total_weight_sums_the_cached_column() {
-        let functions: Vec<DependencyFunction> = (0..3).map(|s| scrambled(5, s)).collect();
-        let arena = FunctionArena::from_functions(5, &functions);
-        assert_eq!(
-            arena.total_weight(),
-            functions
-                .iter()
-                .map(DependencyFunction::weight)
-                .sum::<u64>()
         );
     }
 

@@ -1,14 +1,15 @@
-//! Minimal JSON support: an escaping writer and a strict recursive-descent
-//! parser.
+//! Minimal JSON support: an escaping writer, a value renderer, and a
+//! strict recursive-descent parser.
 //!
 //! The workspace bans external runtime dependencies, so the JSONL event
 //! sink, the metrics snapshot, and the Chrome-trace exporter serialize by
-//! hand through [`escape`]/[`push_escaped`], and the CI schema validator
-//! parses through [`parse`]. The parser covers the full JSON grammar and
-//! runs in time linear in the document, so it also decodes checkpoints and
-//! serve feeds of any size. It recurses on nesting depth (capped) and keeps
-//! object keys in document order so strict schema validation can report
-//! *which* field is unknown.
+//! hand through [`escape`]/[`push_escaped`], benchmark artifacts are built
+//! as [`Json`] values and written through [`render`], and `bbmg audit`
+//! parses every document through [`parse`]. The parser covers the full
+//! JSON grammar and runs in time linear in the document, so it also
+//! decodes checkpoints and serve feeds of any size. It recurses on
+//! nesting depth (capped) and keeps object keys in document order so
+//! strict schema validation can report *which* field is unknown.
 
 use std::fmt;
 
@@ -70,6 +71,55 @@ impl Json {
             _ => None,
         }
     }
+
+    /// An object with `fields` in the given order.
+    #[must_use]
+    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Object(
+            fields
+                .into_iter()
+                .map(|(key, value)| (key.to_owned(), value))
+                .collect(),
+        )
+    }
+}
+
+impl From<bool> for Json {
+    fn from(value: bool) -> Self {
+        Json::Bool(value)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(value: f64) -> Self {
+        Json::Number(value)
+    }
+}
+
+impl From<u64> for Json {
+    #[allow(clippy::cast_precision_loss)]
+    fn from(value: u64) -> Self {
+        Json::Number(value as f64)
+    }
+}
+
+impl From<usize> for Json {
+    #[allow(clippy::cast_precision_loss)]
+    fn from(value: usize) -> Self {
+        Json::Number(value as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(value: &str) -> Self {
+        Json::String(value.to_owned())
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Self {
+        Json::Array(items.into_iter().map(Into::into).collect())
+    }
 }
 
 /// Where and why parsing failed.
@@ -114,6 +164,49 @@ pub fn escape(text: &str) -> String {
     push_escaped(&mut out, text);
     out.push('"');
     out
+}
+
+/// Renders `value` as one compact line of JSON, object keys in their
+/// stored order. Numbers print in the shortest form that parses back to
+/// the same `f64`, so [`parse`] of the output is `value` again; a
+/// non-finite number, which JSON cannot spell, renders as `null`.
+#[must_use]
+pub fn render(value: &Json) -> String {
+    let mut out = String::new();
+    push_rendered(&mut out, value);
+    out
+}
+
+fn push_rendered(out: &mut String, value: &Json) {
+    match value {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Number(n) if n.is_finite() => out.push_str(&n.to_string()),
+        Json::Number(_) => out.push_str("null"),
+        Json::String(s) => out.push_str(&escape(s)),
+        Json::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_rendered(out, item);
+            }
+            out.push(']');
+        }
+        Json::Object(fields) => {
+            out.push('{');
+            for (i, (key, item)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&escape(key));
+                out.push(':');
+                push_rendered(out, item);
+            }
+            out.push('}');
+        }
+    }
 }
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
@@ -341,6 +434,37 @@ mod tests {
         assert_eq!(
             v.get("c").and_then(|c| c.get("d")).and_then(Json::as_str),
             Some("x")
+        );
+    }
+
+    #[test]
+    fn render_round_trips_through_parse() {
+        let value = Json::object([
+            ("schema", "bbmg-x/1".into()),
+            ("quick", false.into()),
+            ("none", Json::Null),
+            ("count", 18_446_744_073_709_549_568_u64.into()),
+            ("micros", vec![0_u64, 7, 13_065].into()),
+            (
+                "fractions",
+                vec![0.1, 2.3, -0.51, 1e-7, 349.369_565_217_391_3].into(),
+            ),
+            ("escaped \"key\"", "a \"b\"\n\\c\tŌ😀\u{1}".into()),
+            (
+                "nested",
+                Json::Array(vec![
+                    Json::object([("threads", 4_usize.into()), ("rows", Json::Array(vec![]))]),
+                    Json::Object(vec![]),
+                ]),
+            ),
+        ]);
+        let text = render(&value);
+        assert!(!text.contains('\n'), "one line: {text}");
+        assert_eq!(parse(&text), Ok(value));
+        assert_eq!(render(&Json::Number(f64::NAN)), "null");
+        assert_eq!(
+            render(&Json::object([("a", 1_u64.into()), ("b", 2.5.into())])),
+            r#"{"a":1,"b":2.5}"#
         );
     }
 

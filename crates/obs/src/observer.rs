@@ -8,7 +8,8 @@ use crate::event::Event;
 /// conveniences for call sites, defaulting to constructing the event and
 /// forwarding. [`NoopObserver`] overrides nothing: its empty `record`
 /// inlines away, so generic call sites (`impl Observer`) pay nothing —
-/// proven by the `observer_overhead` bench.
+/// measured by the `observer_overhead` example, which records every
+/// sample in `BENCH_observer.json`.
 ///
 /// Call sites that must do *extra work* to produce an event's payload
 /// (e.g. call `Instant::now`) should guard it with

@@ -5,11 +5,9 @@
 //! Three sections:
 //!
 //! * **kernels** — `leq`, `join`, and `weight` on packed 24-task
-//!   matrices at three implementation tiers: a scalar reference that
-//!   walks every cell through [`DependencyValue`]'s table ops (the way
-//!   the pre-packed store did), the per-function packed word kernels,
-//!   and the batched [`FunctionArena`] set sweeps (one contiguous word
-//!   buffer plus cached weight column) the learner hot paths now use.
+//!   matrices: a scalar reference that walks every cell through
+//!   [`DependencyValue`]'s table ops (the way the pre-packed store did)
+//!   against the packed word kernels.
 //! * **pool** — a cold worker-pool spin-up (spawn threads, dispatch,
 //!   collect) against a warm dispatch to already-parked workers, the
 //!   per-fan-out cost the persistent pool removed from the hot path.
@@ -23,7 +21,9 @@
 //!   round-robin, one run each per iteration, so a stretch of host
 //!   load lands on every row instead of on one.
 //!
-//! [`FunctionArena`]: bbmg::lattice::FunctionArena
+//! The artifact is written only if it meets the `bbmg_bench::rules`
+//! floors, among them the parallel regression guard: every multi-thread
+//! row's best iteration within 0.95x of the 1-thread median.
 //!
 //! Run with: `cargo run --release --example learner_throughput`
 //! (pass `--quick` for the CI smoke variant: fewer iterations, smaller
@@ -31,23 +31,19 @@
 //!
 //! [`DependencyValue`]: bbmg::lattice::DependencyValue
 
-use std::fmt::Write as _;
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
 
 use bbmg::core::pool::WorkerPool;
 use bbmg::core::{learn, LearnOptions};
-use bbmg::lattice::{DependencyFunction, DependencyValue, FunctionArena, TaskId, TaskUniverse};
+use bbmg::lattice::{DependencyFunction, DependencyValue, TaskId, TaskUniverse};
+use bbmg::obs::json::Json;
 use bbmg::sim::{SimConfig, Simulator};
 use bbmg::trace::{EventKind, Timestamp, Trace, TraceBuilder};
 use bbmg::workloads::random::{random_model, RandomModelConfig};
+use bbmg_bench::runner::{cpu_threads, median, round, round_robin, time_micros, write_artifact};
 
 /// Kernel-section matrix size: 24 tasks = 576 cells = 28 packed words.
 const KERNEL_TASKS: usize = 24;
-
-/// Batched-kernel set size: the arena sweeps and their per-function
-/// baselines run over this many scrambled matrices per repetition.
-const ARENA_SET: usize = 64;
 
 /// Worker count for the pool section's cold-vs-warm comparison.
 const POOL_WORKERS: usize = 3;
@@ -148,49 +144,6 @@ fn scalar_weight(a: &DependencyFunction) -> u64 {
     total
 }
 
-/// Runs `f` `iterations` times and returns every wall time in micros.
-fn time_micros(iterations: usize, mut f: impl FnMut()) -> Vec<u64> {
-    (0..iterations)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
-        })
-        .collect()
-}
-
-/// Times `run(threads)` once per thread count per iteration, cycling
-/// through the thread counts, so every row samples the same stretches of
-/// host load.
-fn time_thread_rows(
-    iterations: usize,
-    thread_counts: &[usize],
-    mut run: impl FnMut(usize),
-) -> Vec<ThreadRow> {
-    let mut rows: Vec<ThreadRow> = thread_counts
-        .iter()
-        .map(|&threads| ThreadRow {
-            threads,
-            micros: Vec::with_capacity(iterations),
-        })
-        .collect();
-    for _ in 0..iterations {
-        for row in &mut rows {
-            let start = Instant::now();
-            run(row.threads);
-            row.micros
-                .push(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
-        }
-    }
-    rows
-}
-
-fn median(samples: &[u64]) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    sorted[sorted.len() / 2]
-}
-
 /// One period with `width` possible senders and receivers per message:
 /// the exact algorithm's branching fan-out crosses the learner's
 /// parallel threshold.
@@ -257,38 +210,19 @@ struct KernelRow {
     name: &'static str,
     scalar_median_micros: u64,
     packed_median_micros: u64,
-    /// Per-function packed loop over the [`ARENA_SET`] matrices — the
-    /// pre-arena learner's set-sweep shape, the batched column's baseline.
-    per_function_median_micros: u64,
-    /// The same set sweep through [`FunctionArena`] batched kernels.
-    batched_median_micros: u64,
 }
 
 impl KernelRow {
     fn speedup(&self) -> f64 {
         self.scalar_median_micros as f64 / self.packed_median_micros.max(1) as f64
     }
-
-    fn batched_speedup(&self) -> f64 {
-        self.per_function_median_micros as f64 / self.batched_median_micros.max(1) as f64
-    }
-}
-
-struct ThreadRow {
-    threads: usize,
-    micros: Vec<u64>,
-}
-
-struct WorkloadRows {
-    name: &'static str,
-    rows: Vec<ThreadRow>,
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
     let iters = iterations(quick);
     let reps = kernel_reps(quick);
-    let cpu_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cpu_threads = cpu_threads();
 
     // --- kernels -------------------------------------------------------
     let a = scrambled_function(KERNEL_TASKS, 1);
@@ -300,31 +234,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(scalar_join(&a, &b), ab, "kernel inputs must agree");
     assert_eq!(scalar_weight(&a), a.weight(), "kernel inputs must agree");
-
-    // Batched sweeps cover an ARENA_SET-function set per repetition, so
-    // they get proportionally fewer reps than the single-pair columns.
-    let set_reps = (reps / 50).max(1);
-    let set: Vec<DependencyFunction> = (0..ARENA_SET)
-        .map(|i| scrambled_function(KERNEL_TASKS, 100 + i as u64))
-        .collect();
-    let arena = FunctionArena::from_functions(KERNEL_TASKS, set.iter());
-    // The batched kernels must agree with the per-function loop before
-    // their timings mean anything.
-    for i in 0..set.len() {
-        for j in 0..set.len() {
-            assert_eq!(arena.leq(i, j), set[i].leq(&set[j]), "arena leq agrees");
-        }
-    }
-    assert_eq!(
-        arena.join_all().as_ref(),
-        Some(&set[1..].iter().fold(set[0].clone(), |acc, d| acc.join(d))),
-        "arena join agrees"
-    );
-    assert_eq!(
-        arena.total_weight(),
-        set.iter().map(DependencyFunction::weight).sum::<u64>(),
-        "arena weight agrees"
-    );
 
     let kernels = vec![
         KernelRow {
@@ -340,25 +249,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             packed_median_micros: median(&time_micros(iters, || {
                 for _ in 0..reps {
                     std::hint::black_box(std::hint::black_box(&a).leq(std::hint::black_box(&ab)));
-                }
-            })),
-            per_function_median_micros: median(&time_micros(iters, || {
-                for _ in 0..set_reps {
-                    for x in std::hint::black_box(&set) {
-                        for y in &set {
-                            std::hint::black_box(x.leq(y));
-                        }
-                    }
-                }
-            })),
-            batched_median_micros: median(&time_micros(iters, || {
-                for _ in 0..set_reps {
-                    let arena = std::hint::black_box(&arena);
-                    for i in 0..arena.len() {
-                        for j in 0..arena.len() {
-                            std::hint::black_box(arena.leq(i, j));
-                        }
-                    }
                 }
             })),
         },
@@ -377,18 +267,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     std::hint::black_box(std::hint::black_box(&a).join(std::hint::black_box(&b)));
                 }
             })),
-            per_function_median_micros: median(&time_micros(iters, || {
-                for _ in 0..set_reps {
-                    let set = std::hint::black_box(&set);
-                    let lub = set[1..].iter().fold(set[0].clone(), |acc, d| acc.join(d));
-                    std::hint::black_box(lub);
-                }
-            })),
-            batched_median_micros: median(&time_micros(iters, || {
-                for _ in 0..set_reps {
-                    std::hint::black_box(std::hint::black_box(&arena).join_all());
-                }
-            })),
         },
         KernelRow {
             name: "weight",
@@ -402,41 +280,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     std::hint::black_box(std::hint::black_box(&a).weight());
                 }
             })),
-            per_function_median_micros: median(&time_micros(iters, || {
-                for _ in 0..set_reps {
-                    // The per-function loop recomputes two popcounts per
-                    // word; ×reps to stay measurable against the cached
-                    // column.
-                    let set = std::hint::black_box(&set);
-                    std::hint::black_box(set.iter().map(DependencyFunction::weight).sum::<u64>());
-                }
-            })),
-            batched_median_micros: median(&time_micros(iters, || {
-                for _ in 0..set_reps {
-                    // Reads the cached weight column the arena maintains.
-                    std::hint::black_box(std::hint::black_box(&arena).total_weight());
-                }
-            })),
         },
     ];
 
     println!(
-        "packed kernels vs scalar reference ({KERNEL_TASKS}-task matrices, {reps} reps; batched sweeps over {ARENA_SET} functions, {set_reps} reps; median of {iters}):"
+        "packed kernels vs scalar reference ({KERNEL_TASKS}-task matrices, {reps} reps, median of {iters}):"
     );
     println!(
-        "{:<8} {:>12} {:>12} {:>8} {:>14} {:>12} {:>8}",
-        "kernel", "scalar (us)", "packed (us)", "speedup", "per-func (us)", "arena (us)", "batched"
+        "{:<8} {:>12} {:>12} {:>8}",
+        "kernel", "scalar (us)", "packed (us)", "speedup"
     );
     for row in &kernels {
         println!(
-            "{:<8} {:>12} {:>12} {:>7.1}x {:>14} {:>12} {:>7.1}x",
+            "{:<8} {:>12} {:>12} {:>7.1}x",
             row.name,
             row.scalar_median_micros,
             row.packed_median_micros,
-            row.speedup(),
-            row.per_function_median_micros,
-            row.batched_median_micros,
-            row.batched_speedup()
+            row.speedup()
         );
     }
 
@@ -492,126 +352,84 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (blowup_width, blowup_messages) = if quick { (6, 2) } else { (8, 2) };
     let exact_trace = blowup_trace(blowup_width, blowup_messages);
     let bounded_trace = random_workload(10, if quick { 10 } else { 30 });
-
-    let workloads = vec![
-        WorkloadRows {
-            name: "exact_blowup",
-            rows: time_thread_rows(iters, &thread_counts, |threads| {
+    let workloads = [
+        (
+            "exact_blowup",
+            round_robin(iters, &thread_counts, |_, &threads| {
                 learn(
                     &exact_trace,
                     LearnOptions::exact().with_parallelism(threads),
                 )
                 .expect("learns");
             }),
-        },
-        WorkloadRows {
-            name: "bounded_random",
-            rows: time_thread_rows(iters, &thread_counts, |threads| {
+        ),
+        (
+            "bounded_random",
+            round_robin(iters, &thread_counts, |_, &threads| {
                 learn(
                     &bounded_trace,
                     LearnOptions::bounded(64).with_parallelism(threads),
                 )
                 .expect("learns");
             }),
-        },
+        ),
     ];
 
     println!("\nlearner wall time by thread count (median of {iters}, {cpu_threads} CPU thread(s) available):");
-    for workload in &workloads {
-        let base = median(&workload.rows[0].micros).max(1);
-        for row in &workload.rows {
-            let med = median(&row.micros);
-            println!(
-                "{:<16} threads={} {:>10} us  {:>5.2}x vs 1 thread",
-                workload.name,
-                row.threads,
-                med,
-                base as f64 / med.max(1) as f64
-            );
+    let mut workload_docs = Vec::new();
+    for (name, rows) in &workloads {
+        let base = median(&rows[0]).max(1);
+        let mut row_docs = Vec::new();
+        for (threads, micros) in thread_counts.iter().zip(rows) {
+            let med = median(micros);
+            let speedup = base as f64 / med.max(1) as f64;
+            println!("{name:<16} threads={threads} {med:>10} us  {speedup:>5.2}x vs 1 thread");
+            row_docs.push(Json::object([
+                ("threads", (*threads).into()),
+                ("median_micros", med.into()),
+                ("micros", micros.clone().into()),
+                ("speedup_vs_1", round(speedup, 2).into()),
+            ]));
         }
+        workload_docs.push(Json::object([
+            ("name", (*name).into()),
+            ("threads", row_docs.into()),
+        ]));
     }
 
-    // Regression guard for the word-sized parallel gates: adding workers
-    // must never cost a meaningful workload its single-thread speed. The
-    // old pair-count gate measured 0.70x at 2 threads on exact_blowup;
-    // with the word-volume gates and the warm pool, every multi-thread
-    // row must stay within noise of (or beat) the 1-thread row — below
-    // 0.95x means a gate stopped doing its job or dispatch overhead
-    // crept back into the hot path. Multi-thread rows are judged on
-    // their best iteration — a spawn-cost regression slows every
-    // iteration, while scheduler noise on a busy host only spikes some.
-    for workload in &workloads {
-        let base = median(&workload.rows[0].micros).max(1);
-        if base < 500 {
-            // Too quick to time reliably — and exactly the size class the
-            // word-count gate keeps sequential anyway.
-            continue;
-        }
-        for row in &workload.rows[1..] {
-            let best = row.micros.iter().copied().min().unwrap_or(1).max(1);
-            let speedup = base as f64 / best as f64;
-            assert!(
-                speedup >= 0.95,
-                "{} regressed with {} threads: {speedup:.2}x vs 1 thread (best of {iters})",
-                workload.name,
-                row.threads
-            );
-        }
-    }
-    println!("\nparallel regression guard passed (multi-thread >= 0.95x single-thread)");
-
-    // Hand-rolled JSON: fixed keys and numbers only, nothing to escape.
-    let mut json = format!("{{\"schema\":\"{}\",", bbmg_bench::BENCH_LEARNER_SCHEMA);
-    write!(
-        json,
-        "\"cpu_threads\":{cpu_threads},\"iterations\":{iters},\"quick\":{quick},\"kernels\":["
-    )?;
-    for (i, row) in kernels.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        write!(
-            json,
-            "{{\"name\":\"{}\",\"scalar_median_micros\":{},\"packed_median_micros\":{},\"speedup\":{:.2},\"per_function_median_micros\":{},\"batched_median_micros\":{},\"batched_speedup\":{:.2}}}",
-            row.name,
-            row.scalar_median_micros,
-            row.packed_median_micros,
-            row.speedup(),
-            row.per_function_median_micros,
-            row.batched_median_micros,
-            row.batched_speedup()
-        )?;
-    }
-    write!(
-        json,
-        "],\"pool\":{{\"workers\":{POOL_WORKERS},\"dispatches\":{POOL_DISPATCHES},\"cold_spawn_micros\":{cold_spawn},\"warm_dispatch_micros\":{warm_dispatch},\"speedup\":{pool_speedup:.2}}},\"workloads\":["
-    )?;
-    for (i, workload) in workloads.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        write!(json, "{{\"name\":\"{}\",\"threads\":[", workload.name)?;
-        let base = median(&workloads[i].rows[0].micros).max(1);
-        for (j, row) in workload.rows.iter().enumerate() {
-            if j > 0 {
-                json.push(',');
-            }
-            let med = median(&row.micros);
-            let rendered: Vec<String> = row.micros.iter().map(u64::to_string).collect();
-            write!(
-                json,
-                "{{\"threads\":{},\"median_micros\":{med},\"micros\":[{}],\"speedup_vs_1\":{:.2}}}",
-                row.threads,
-                rendered.join(","),
-                base as f64 / med.max(1) as f64
-            )?;
-        }
-        json.push_str("]}");
-    }
-    json.push_str("]}");
-    json.push('\n');
-
-    std::fs::write("BENCH_learner.json", &json)?;
-    println!("\nwrote BENCH_learner.json");
+    let document = Json::object([
+        ("schema", bbmg_bench::BENCH_LEARNER_SCHEMA.into()),
+        ("cpu_threads", cpu_threads.into()),
+        ("iterations", iters.into()),
+        ("quick", quick.into()),
+        (
+            "kernels",
+            kernels
+                .iter()
+                .map(|row| {
+                    Json::object([
+                        ("name", row.name.into()),
+                        ("scalar_median_micros", row.scalar_median_micros.into()),
+                        ("packed_median_micros", row.packed_median_micros.into()),
+                        ("speedup", round(row.speedup(), 2).into()),
+                    ])
+                })
+                .collect::<Vec<_>>()
+                .into(),
+        ),
+        (
+            "pool",
+            Json::object([
+                ("workers", POOL_WORKERS.into()),
+                ("dispatches", POOL_DISPATCHES.into()),
+                ("cold_spawn_micros", cold_spawn.into()),
+                ("warm_dispatch_micros", warm_dispatch.into()),
+                ("speedup", round(pool_speedup, 2).into()),
+            ]),
+        ),
+        ("workloads", workload_docs.into()),
+    ]);
+    write_artifact("BENCH_learner.json", &document)?;
+    println!("\nwrote BENCH_learner.json (parallel regression guard and floors passed)");
     Ok(())
 }

@@ -10,7 +10,9 @@
 //! and health instrumentation is pay-for-use (everything heavier than a
 //! gauge store is gated on `observer.is_enabled()`). Every iteration's
 //! wall time is kept, so the artifact records a trajectory rather than a
-//! single summary number.
+//! single summary number, with the host's `cpu_threads`. The artifact
+//! carries no overhead floor: the uninstrumented samples alone spread
+//! wider than the 2% bar on a shared host.
 //!
 //! Run with: `cargo run --release --example observer_overhead`
 //!
@@ -18,15 +20,14 @@
 //! [`Recorder`]: bbmg::obs::Recorder
 //! [`JsonlSink`]: bbmg::obs::JsonlSink
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
 use bbmg::core::{learn, learn_with, LearnOptions};
+use bbmg::obs::json::Json;
 use bbmg::obs::{JsonlSink, NoopObserver, Observer, Recorder};
 use bbmg::serve::{Line, ServeOptions, Supervisor, WireKind};
 use bbmg::sim::{SimConfig, Simulator};
 use bbmg::trace::Trace;
 use bbmg::workloads::random::{random_model, RandomModelConfig};
+use bbmg_bench::runner::{cpu_threads, median, round, time_micros, write_artifact};
 
 const ITERATIONS: usize = 7;
 
@@ -47,23 +48,6 @@ fn workload() -> Trace {
         .run()
         .expect("fixed workload simulates")
         .trace
-}
-
-/// Runs `f` [`ITERATIONS`] times and returns every wall time in micros.
-fn time_micros(mut f: impl FnMut()) -> Vec<u64> {
-    (0..ITERATIONS)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
-        })
-        .collect()
-}
-
-fn median(samples: &[u64]) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    sorted[sorted.len() / 2]
 }
 
 /// A 60-period single-source serve feed (6 wire events per period).
@@ -116,26 +100,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let variants: Vec<(&str, Vec<u64>)> = vec![
         (
             "uninstrumented",
-            time_micros(|| {
+            time_micros(ITERATIONS, || {
                 learn(&trace, options).expect("learns");
             }),
         ),
         (
             "noop",
-            time_micros(|| {
+            time_micros(ITERATIONS, || {
                 learn_with(&trace, options, &mut NoopObserver).expect("learns");
             }),
         ),
         (
             "recorder",
-            time_micros(|| {
+            time_micros(ITERATIONS, || {
                 let mut recorder = Recorder::new();
                 learn_with(&trace, options, &mut recorder).expect("learns");
             }),
         ),
         (
             "jsonl",
-            time_micros(|| {
+            time_micros(ITERATIONS, || {
                 let mut sink = JsonlSink::new(std::io::sink());
                 learn_with(&trace, options, &mut sink).expect("learns");
             }),
@@ -157,15 +141,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let serve_variants: Vec<(&str, Vec<u64>)> = vec![
         (
             "serve_noop",
-            time_micros(|| serve_once(&feed, NoopObserver)),
+            time_micros(ITERATIONS, || serve_once(&feed, NoopObserver)),
         ),
         (
             "serve_recorder",
-            time_micros(|| serve_once(&feed, Recorder::new())),
+            time_micros(ITERATIONS, || serve_once(&feed, Recorder::new())),
         ),
         (
             "serve_jsonl",
-            time_micros(|| serve_once(&feed, JsonlSink::new(std::io::sink()))),
+            time_micros(ITERATIONS, || {
+                serve_once(&feed, JsonlSink::new(std::io::sink()))
+            }),
         ),
     ];
     let serve_baseline = median(&serve_variants[0].1).max(1);
@@ -177,46 +163,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{name:<16} {med:>12} {overhead:>9.1}%");
     }
 
-    // Hand-rolled JSON: fixed keys and numbers only, nothing to escape.
-    let mut json = format!("{{\"schema\":\"{}\",", bbmg_bench::BENCH_OBSERVER_SCHEMA);
-    write!(
-        json,
-        "\"workload\":\"random:tasks=8 periods=30 seed=2007 bound=64\",\"iterations\":{ITERATIONS},\"variants\":["
-    )?;
-    for (i, (name, samples)) in variants.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let rendered: Vec<String> = samples.iter().map(u64::to_string).collect();
-        write!(
-            json,
-            "{{\"name\":\"{name}\",\"median_micros\":{},\"micros\":[{}]}}",
-            median(samples),
-            rendered.join(",")
-        )?;
-    }
+    let variant_docs = |variants: &[(&str, Vec<u64>)]| -> Json {
+        variants
+            .iter()
+            .map(|(name, samples)| {
+                Json::object([
+                    ("name", (*name).into()),
+                    ("median_micros", median(samples).into()),
+                    ("micros", samples.clone().into()),
+                ])
+            })
+            .collect::<Vec<_>>()
+            .into()
+    };
     let noop_overhead = 100.0 * (median(&variants[1].1) as f64 - baseline as f64) / baseline as f64;
-    write!(json, "],\"noop_overhead_percent\":{noop_overhead:.2}")?;
-    write!(
-        json,
-        ",\"serve_workload\":\"1 source, 60 periods, 6 events/period\",\"serve_variants\":["
-    )?;
-    for (i, (name, samples)) in serve_variants.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let rendered: Vec<String> = samples.iter().map(u64::to_string).collect();
-        write!(
-            json,
-            "{{\"name\":\"{name}\",\"median_micros\":{},\"micros\":[{}]}}",
-            median(samples),
-            rendered.join(",")
-        )?;
-    }
-    json.push_str("]}");
-    json.push('\n');
-
-    std::fs::write("BENCH_observer.json", &json)?;
+    let document = Json::object([
+        ("schema", bbmg_bench::BENCH_OBSERVER_SCHEMA.into()),
+        (
+            "workload",
+            "random:tasks=8 periods=30 seed=2007 bound=64".into(),
+        ),
+        ("cpu_threads", cpu_threads().into()),
+        ("iterations", ITERATIONS.into()),
+        ("variants", variant_docs(&variants)),
+        ("noop_overhead_percent", round(noop_overhead, 2).into()),
+        (
+            "serve_workload",
+            "1 source, 60 periods, 6 events/period".into(),
+        ),
+        ("serve_variants", variant_docs(&serve_variants)),
+    ]);
+    write_artifact("BENCH_observer.json", &document)?;
     println!("\nwrote BENCH_observer.json");
     Ok(())
 }

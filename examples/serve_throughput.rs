@@ -9,16 +9,17 @@
 //! period's first wire event to its last being routed). The shedding run
 //! reports how many periods and raw events a zero-headroom shard drops
 //! while staying alive — the graceful-degradation contract, measured.
+//! The artifact is written only if it meets the `bbmg_bench::rules`:
+//! healthy runs shed nothing, and the zero-watermark run sheds.
 //!
 //! Run with: `cargo run --release --example serve_throughput [-- --quick]`
 //!
 //! [`Supervisor`]: bbmg::serve::Supervisor
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
+use bbmg::obs::json::Json;
 use bbmg::obs::NoopObserver;
 use bbmg::serve::{Line, ServeOptions, Supervisor, WireKind};
+use bbmg_bench::runner::{cpu_threads, percentile, time_micros, write_artifact};
 
 /// One period of wire events for `source`: task `a` runs, a message
 /// crosses, task `b` runs — consistent, so the learner absorbs it.
@@ -78,37 +79,27 @@ struct RunStats {
     shed_events: u64,
 }
 
-fn percentile(samples: &mut [u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let rank = ((samples.len() - 1) as f64 * p).round() as usize;
-    samples[rank]
-}
-
 /// Ingests the feed and times each period chunk; `options` selects the
 /// healthy or the shedding configuration.
 fn drive(shards: usize, periods: usize, options: ServeOptions) -> RunStats {
     let (hellos, chunks) = build_feed(shards, periods);
+    let events = chunks.iter().map(Vec::len).sum::<usize>() as u64;
     let mut sup = Supervisor::new(options);
     let mut period_micros = Vec::with_capacity(chunks.len());
-    let mut events = 0u64;
-    let started = Instant::now();
-    for line in &hellos {
-        sup.ingest_line(line, &mut NoopObserver).expect("hello");
-    }
-    for chunk in &chunks {
-        let chunk_start = Instant::now();
-        for line in chunk {
-            sup.ingest_line(line, &mut NoopObserver).expect("event");
-            events += 1;
+    let mut summaries = Vec::new();
+    let elapsed_micros = time_micros(1, || {
+        for line in &hellos {
+            sup.ingest_line(line, &mut NoopObserver).expect("hello");
         }
-        period_micros.push(u64::try_from(chunk_start.elapsed().as_micros()).unwrap_or(u64::MAX));
-    }
-    let summaries = sup.finish(&mut NoopObserver).expect("finish");
-    let elapsed_micros = u64::try_from(started.elapsed().as_micros())
-        .unwrap_or(u64::MAX)
+        for chunk in &chunks {
+            period_micros.extend(time_micros(1, || {
+                for line in chunk {
+                    sup.ingest_line(line, &mut NoopObserver).expect("event");
+                }
+            }));
+        }
+        summaries = sup.finish(&mut NoopObserver).expect("finish");
+    })[0]
         .max(1);
     let shed_periods = summaries.iter().map(|s| s.shed_periods as u64).sum();
     let shed_events = summaries.iter().map(|s| s.shed_events as u64).sum();
@@ -117,17 +108,32 @@ fn drive(shards: usize, periods: usize, options: ServeOptions) -> RunStats {
         events,
         elapsed_micros,
         events_per_sec: events * 1_000_000 / elapsed_micros,
-        p50_period_micros: percentile(&mut period_micros.clone(), 0.50),
-        p95_period_micros: percentile(&mut period_micros, 0.95),
+        p50_period_micros: percentile(&period_micros, 0.50),
+        p95_period_micros: percentile(&period_micros, 0.95),
         shed_periods,
         shed_events,
+    }
+}
+
+impl RunStats {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("shards", self.shards.into()),
+            ("events", self.events.into()),
+            ("elapsed_micros", self.elapsed_micros.into()),
+            ("events_per_sec", self.events_per_sec.into()),
+            ("p50_period_micros", self.p50_period_micros.into()),
+            ("p95_period_micros", self.p95_period_micros.into()),
+            ("shed_periods", self.shed_periods.into()),
+            ("shed_events", self.shed_events.into()),
+        ])
     }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
     let periods = if quick { 40 } else { 200 };
-    let cpu_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cpu_threads = cpu_threads();
 
     println!("serve throughput ({periods} periods/source, 6 events/period, {cpu_threads} cpu thread(s)):");
     println!(
@@ -146,8 +152,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stats.p50_period_micros,
             stats.p95_period_micros
         );
-        assert_eq!(stats.shed_periods, 0, "healthy runs shed nothing");
-        runs.push(stats);
+        runs.push(stats.to_json());
     }
 
     // The load-shedding scenario: zero watermark headroom forces the
@@ -162,43 +167,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "shedding (watermark 0): {} of {} periods shed, {} raw events dropped, {} events/sec",
         shed.shed_periods, periods, shed.shed_events, shed.events_per_sec
     );
-    assert!(shed.shed_periods > 0, "zero watermark must shed");
 
-    // Hand-rolled JSON: fixed keys and numbers only, nothing to escape.
-    let mut json = format!("{{\"schema\":\"{}\",", bbmg_bench::BENCH_SERVE_SCHEMA);
-    write!(
-        json,
-        "\"workload\":\"2-task consistent periods, 6 events/period, round-robin sources\",\
-         \"periods_per_source\":{periods},\"cpu_threads\":{cpu_threads},\"quick\":{quick},\"runs\":["
-    )?;
-    for (i, stats) in runs.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        write!(
-            json,
-            "{{\"shards\":{},\"events\":{},\"elapsed_micros\":{},\"events_per_sec\":{},\
-             \"p50_period_micros\":{},\"p95_period_micros\":{},\"shed_periods\":{},\
-             \"shed_events\":{}}}",
-            stats.shards,
-            stats.events,
-            stats.elapsed_micros,
-            stats.events_per_sec,
-            stats.p50_period_micros,
-            stats.p95_period_micros,
-            stats.shed_periods,
-            stats.shed_events
-        )?;
-    }
-    write!(
-        json,
-        "],\"shedding\":{{\"watermark_words\":0,\"shed_periods\":{},\"shed_events\":{},\
-         \"events_per_sec\":{}}}}}",
-        shed.shed_periods, shed.shed_events, shed.events_per_sec
-    )?;
-    json.push('\n');
-
-    std::fs::write("BENCH_serve.json", &json)?;
+    let document = Json::object([
+        ("schema", bbmg_bench::BENCH_SERVE_SCHEMA.into()),
+        (
+            "workload",
+            "2-task consistent periods, 6 events/period, round-robin sources".into(),
+        ),
+        ("periods_per_source", periods.into()),
+        ("cpu_threads", cpu_threads.into()),
+        ("quick", quick.into()),
+        ("runs", runs.into()),
+        (
+            "shedding",
+            Json::object([
+                ("watermark_words", 0_u64.into()),
+                ("shed_periods", shed.shed_periods.into()),
+                ("shed_events", shed.shed_events.into()),
+                ("events_per_sec", shed.events_per_sec.into()),
+            ]),
+        ),
+    ]);
+    write_artifact("BENCH_serve.json", &document)?;
     println!("\nwrote BENCH_serve.json");
     Ok(())
 }
