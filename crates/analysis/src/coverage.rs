@@ -6,12 +6,12 @@
 //! environment" (§3.4) and warns that schedulers may mask behaviour
 //! (footnote 3). When the design model *is* available (testing, or
 //! regression against a reference), this module quantifies that
-//! assumption; for black-box settings, [`convergence_curve`] tracks the
-//! observable proxy — how the hypothesis set evolves with more periods.
+//! assumption; for black-box settings,
+//! [`bbmg_core::convergence_timeline`] tracks the observable proxy — how
+//! the hypothesis set evolves with more periods.
 
 use std::collections::BTreeSet;
 
-use bbmg_core::{LearnError, LearnOptions, Learner};
 use bbmg_lattice::TaskId;
 use bbmg_moc::{Behavior, DesignModel};
 use bbmg_trace::Trace;
@@ -87,52 +87,6 @@ pub fn behavior_coverage(model: &DesignModel, trace: &Trace) -> Coverage {
     }
 }
 
-/// One point of a convergence curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConvergencePoint {
-    /// Periods observed so far.
-    pub periods: usize,
-    /// Hypotheses remaining.
-    pub hypotheses: usize,
-    /// Weight of the current least upper bound (a scalar proxy for how
-    /// general the learned model has become).
-    pub lub_weight: u64,
-}
-
-/// Runs the learner incrementally and records the hypothesis count and
-/// LUB weight after every period — the observable proxy for coverage when
-/// the design model is unknown.
-///
-/// # Errors
-///
-/// Propagates [`LearnError`] from the learner.
-pub fn convergence_curve(
-    trace: &Trace,
-    options: LearnOptions,
-) -> Result<Vec<ConvergencePoint>, LearnError> {
-    let mut learner = Learner::new(trace.task_count(), options);
-    let mut curve = Vec::with_capacity(trace.periods().len());
-    for period in trace.periods() {
-        learner.observe(period)?;
-        let lub_weight = learner
-            .hypotheses()
-            .iter()
-            .fold(None::<bbmg_lattice::DependencyFunction>, |acc, d| {
-                Some(match acc {
-                    None => (*d).clone(),
-                    Some(a) => a.join(d),
-                })
-            })
-            .map_or(0, |d| d.weight());
-        curve.push(ConvergencePoint {
-            periods: period.index() + 1,
-            hypotheses: learner.len(),
-            lub_weight,
-        });
-    }
-    Ok(curve)
-}
-
 #[cfg(test)]
 mod tests {
     use bbmg_lattice::TaskUniverse;
@@ -189,18 +143,5 @@ mod tests {
         assert_eq!(coverage.observed_behaviors, 1);
         assert_eq!(coverage.missed.len(), 2);
         assert!(!coverage.is_exhaustive());
-    }
-
-    #[test]
-    fn convergence_curve_tracks_period_progress() {
-        let model = figure_1();
-        let behaviors = model.enumerate_behaviors();
-        let trace = trace_of(&model, &behaviors);
-        let curve = convergence_curve(&trace, LearnOptions::exact()).unwrap();
-        assert_eq!(curve.len(), 3);
-        assert!(curve.iter().all(|p| p.hypotheses >= 1));
-        // More observation only generalizes the LUB of this trace.
-        assert!(curve.windows(2).all(|w| w[0].lub_weight <= w[1].lub_weight));
-        assert_eq!(curve[2].periods, 3);
     }
 }

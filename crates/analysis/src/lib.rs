@@ -17,9 +17,9 @@
 //!   per-period execution states with and without the learned
 //!   must-dependencies, demonstrating the paper's state-space-reduction
 //!   claim for model checking.
-//! * [`coverage`] — trace-coverage measurement against a known model and
-//!   black-box convergence curves (the paper's exhaustiveness assumption,
-//!   quantified).
+//! * [`coverage`] — trace-coverage measurement against a known model (the
+//!   paper's exhaustiveness assumption, quantified; black-box convergence
+//!   timelines are `bbmg_core::convergence_timeline`).
 //! * [`depgraph`] — rendering a learned [`DependencyFunction`] as the
 //!   paper's Figure 4/5 dependency-graph style (DOT).
 //! * [`ground_truth`] — exhaustive traces and the reference dependency

@@ -12,11 +12,11 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-use bbmg_core::{payload_checksum, Checkpoint, CheckpointError, IncrementalLearner, Observed};
+use bbmg_core::{payload_checksum, Checkpoint, CheckpointError, IncrementalLearner, LearnError};
 use bbmg_lattice::invariant::{self, AntichainViolation};
 use bbmg_lattice::FunctionDecodeError;
 use bbmg_obs::json::{self, Json};
-use bbmg_obs::{MetricsParseError, MetricsSnapshot};
+use bbmg_obs::{MetricsParseError, MetricsSnapshot, NoopObserver};
 use bbmg_serve::{HealthParseError, HealthSnapshot, Roster, RosterError};
 use bbmg_trace::{parse_btrace, ParseBtraceError, Trace};
 
@@ -664,24 +664,26 @@ pub(crate) fn replay_checkpoint(
 
     let mut learner =
         IncrementalLearner::new(ckpt.tasks, ckpt.options).with_fallback_bound(ckpt.fallback_bound);
-    for period in &trace.periods()[..ckpt.pushed_periods] {
-        match learner.push_period(period) {
-            Ok(Observed::Accepted | Observed::Skipped(_)) => {}
-            Ok(Observed::BudgetStopped { period }) => {
-                out.push(inconclusive(format!(
-                    "replay hit the step budget at period {period}, which the original run did \
-                     not record; options and trace disagree"
-                )));
-                return;
-            }
-            Err(err) => {
-                out.push(error(
-                    &codes::REPLAY_MISMATCH,
-                    artifact,
-                    format!("replay failed where the original run succeeded: {err}"),
-                ));
-                return;
-            }
+    let prefix = &trace.periods()[..ckpt.pushed_periods];
+    match learner.drive(prefix, &mut NoopObserver, |_, _, _, _| {
+        Ok::<_, LearnError>(())
+    }) {
+        Ok(true) => {}
+        Ok(false) => {
+            out.push(inconclusive(
+                "replay hit the step budget, which the original run did not record; options \
+                 and trace disagree"
+                    .into(),
+            ));
+            return;
+        }
+        Err(err) => {
+            out.push(error(
+                &codes::REPLAY_MISMATCH,
+                artifact,
+                format!("replay failed where the original run succeeded: {err}"),
+            ));
+            return;
         }
     }
     let replayed = learner.fingerprint();

@@ -2,7 +2,9 @@
 //! its own stable `BBMG0xx` code, so operators can triage from the code
 //! alone. A seeded random bit-flip sweep (`--ignored`) backs the
 //! hand-built classes with volume. A second, default-suite sweep feeds
-//! seeded bit flips and truncations to every other JSON document decoder:
+//! seeded bit flips and truncations to every other JSON document decoder
+//! and to the trace decoders (strict CSV and text, the lenient CSV path
+//! through repair into the learner, and resealed `bbmg-btrace/1` bodies):
 //! none may panic, a damaged sealed corpus report never audits clean, and
 //! a truncated benchmark artifact always audits with an error. A
 //! benchmark artifact that parses but breaks its schema's rules is
@@ -15,12 +17,15 @@ use std::path::PathBuf;
 use bbmg_audit::{audit_paths, AuditOptions, AuditReport};
 use bbmg_core::{
     learn_with, payload_checksum, seal_document, Checkpoint, IncrementalLearner, LearnOptions,
-    CORPUS_SCHEMA,
+    OnInconsistent, CORPUS_SCHEMA,
 };
 use bbmg_lattice::DependencyFunction;
-use bbmg_obs::{Metrics, MetricsSnapshot};
+use bbmg_obs::{Metrics, MetricsSnapshot, NoopObserver};
 use bbmg_serve::{parse_line, HealthSnapshot, Line, Roster, RosterEntry, ShardHealth, WireKind};
-use bbmg_trace::{btrace_checksum, write_btrace};
+use bbmg_trace::{
+    btrace_checksum, parse_btrace, parse_csv, parse_csv_raw, parse_trace, repair_with,
+    write_btrace, write_csv, write_trace, RepairOptions,
+};
 use bbmg_workloads::simple;
 use rand::{Rng, SeedableRng};
 
@@ -425,12 +430,12 @@ const SWEEP_ROUNDS: usize = 1000;
 /// Seeded mutants of `doc`: even rounds flip one bit anywhere, odd rounds
 /// truncate inside the body (cutting only trailing whitespace would
 /// leave the document intact).
-fn mutants(doc: &str, seed: u64) -> Vec<Vec<u8>> {
+fn mutants(doc: &[u8], seed: u64) -> Vec<Vec<u8>> {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let body = doc.trim_end().len();
+    let body = doc.trim_ascii_end().len();
     (0..SWEEP_ROUNDS)
         .map(|round| {
-            let mut bytes = doc.as_bytes().to_vec();
+            let mut bytes = doc.to_vec();
             if round % 2 == 0 {
                 let at = rng.gen_range(0..bytes.len());
                 bytes[at] ^= 1 << rng.gen_range(0..8u8);
@@ -443,16 +448,22 @@ fn mutants(doc: &str, seed: u64) -> Vec<Vec<u8>> {
 }
 
 /// Feeds every mutant of `doc` to `decode`, lossily decoded to text the
-/// way a reader that replaces bad UTF-8 would, and requires a typed
-/// outcome, never a panic. Every truncation must be rejected.
+/// way a reader that replaces bad UTF-8 would (see [`sweep_bytes`]).
 fn sweep_decoder<T, E>(name: &str, doc: &str, seed: u64, decode: impl Fn(&str) -> Result<T, E>) {
+    sweep_bytes(name, doc.as_bytes(), seed, |bytes| {
+        decode(&String::from_utf8_lossy(bytes))
+    });
+}
+
+/// Feeds every mutant of `doc` to `decode` and requires a typed outcome,
+/// never a panic, with at least half of the mutants rejected.
+fn sweep_bytes<T, E>(name: &str, doc: &[u8], seed: u64, decode: impl Fn(&[u8]) -> Result<T, E>) {
     assert!(decode(doc).is_ok(), "{name}: the pristine document decodes");
     let mut rejected = 0;
     for (round, bytes) in mutants(doc, seed).into_iter().enumerate() {
-        let text = String::from_utf8_lossy(&bytes);
-        match catch_unwind(AssertUnwindSafe(|| decode(&text).is_err())) {
+        match catch_unwind(AssertUnwindSafe(|| decode(&bytes).is_err())) {
             Ok(err) => rejected += usize::from(err),
-            Err(_) => panic!("{name}: round {round} panicked on {text:?}"),
+            Err(_) => panic!("{name}: round {round} panicked on {bytes:?}"),
         }
     }
     assert!(
@@ -555,7 +566,7 @@ fn corpus_report_mutants_never_audit_clean() {
     };
     let pristine = audit(doc.as_bytes());
     assert!(pristine.is_clean(true), "{:?}", pristine.diagnostics);
-    for (round, bytes) in mutants(&doc, 0x16).into_iter().enumerate() {
+    for (round, bytes) in mutants(doc.as_bytes(), 0x16).into_iter().enumerate() {
         let report = audit(&bytes);
         assert!(
             !report.is_clean(true),
@@ -615,7 +626,7 @@ fn bench_artifact_mutants_never_panic() {
     fs::create_dir_all(&dir).expect("scratch dir");
     for (seed, (name, doc)) in (0x17..).zip(BENCH_ARTIFACTS) {
         let path = dir.join(name);
-        for (round, bytes) in mutants(doc, seed).into_iter().enumerate() {
+        for (round, bytes) in mutants(doc.as_bytes(), seed).into_iter().enumerate() {
             fs::write(&path, &bytes).expect("write artifact");
             let report = catch_unwind(AssertUnwindSafe(|| {
                 audit_paths(std::slice::from_ref(&path), &AuditOptions::default())
@@ -627,6 +638,51 @@ fn bench_artifact_mutants_never_panic() {
                     "{name}: truncation in round {round} audits without an error: {:?}",
                     String::from_utf8_lossy(&bytes)
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn strict_trace_decoder_mutants_never_panic() {
+    let trace = simple::figure_2_trace();
+    sweep_decoder("csv", &write_csv(&trace), 0x1B, parse_csv);
+    sweep_decoder("text trace", &write_trace(&trace), 0x1C, parse_trace);
+    // Resealed, so each mutant gets past the checksum to the body decoder.
+    sweep_bytes("btrace body", &base_btrace()[22..], 0x1D, |body| {
+        parse_btrace(&reseal_btrace(body))
+    });
+}
+
+/// The lenient CSV path accepts almost anything, so it only has to end in
+/// a model: raw parse, repair under the skip and the repair options, then
+/// the skip-policy learner at bound 4.
+#[test]
+fn lenient_trace_path_mutants_never_panic() {
+    let csv = write_csv(&simple::figure_2_trace());
+    let policies = [
+        (
+            "skip",
+            RepairOptions {
+                max_actions_per_period: Some(0),
+            },
+        ),
+        ("repair", RepairOptions::default()),
+    ];
+    let options = LearnOptions::bounded(4).with_on_inconsistent(OnInconsistent::SkipPeriod);
+    for (round, bytes) in mutants(csv.as_bytes(), 0x1E).into_iter().enumerate() {
+        let text = String::from_utf8_lossy(&bytes);
+        for (policy, repair) in &policies {
+            let learned = catch_unwind(AssertUnwindSafe(|| {
+                let Ok(parsed) = parse_csv_raw(&text) else {
+                    return true;
+                };
+                let trace = repair_with(&parsed.raw, repair).trace;
+                learn_with(&trace, options, &mut NoopObserver).is_ok()
+            }));
+            match learned {
+                Ok(ok) => assert!(ok, "{policy}: round {round} failed to learn {text:?}"),
+                Err(_) => panic!("{policy}: round {round} panicked on {text:?}"),
             }
         }
     }

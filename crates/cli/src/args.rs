@@ -64,9 +64,13 @@ heuristic with bound 64; `--exact` runs the exponential algorithm
 Degraded traces: `--fault-rate R` corrupts the simulated trace (dropping
 each droppable event with probability R, deterministic per --fault-seed)
 and emits CSV, since faulty traces may violate the strict format.
-`--on-error skip` quarantines inconsistent periods instead of aborting;
-`--on-error repair` additionally runs the trace sanitizer on the input
-before learning. Both report every skipped period and repair action.
+`--on-error abort` (the default) parses strictly and never degrades: an
+inconsistent period or a --set-limit trip is an error, whatever the
+command. `--on-error skip` quarantines inconsistent periods instead of
+aborting and falls back from --exact to the bounded heuristic when
+--set-limit trips; `--on-error repair` additionally runs the trace
+sanitizer on the input before learning. Both report every skipped
+period, repair action and fallback.
 
 Crash recovery: `bbmg learn --checkpoint FILE` drives the incremental
 learner and atomically rewrites FILE (`bbmg-ckpt/1`) every
@@ -162,13 +166,16 @@ pub struct SimulateOptions {
 /// What the learner does when the trace fights back (`--on-error`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OnError {
-    /// Stop at the first inconsistent period (the default; right for
-    /// trusted traces where inconsistency means a real bug).
+    /// Parse strictly and never degrade: the first inconsistent period or
+    /// `--set-limit` trip is an error (the default; right for trusted
+    /// traces where inconsistency means a real bug).
     #[default]
     Abort,
     /// Quarantine and keep going: CSV rows that do not parse and periods
     /// that are invalid as captured are dropped at load (nothing is
-    /// altered), and periods the learner cannot explain are skipped.
+    /// altered), periods the learner cannot explain are skipped, and an
+    /// exact run that trips `--set-limit` falls back to the bounded
+    /// heuristic.
     Skip,
     /// Like `Skip`, but run the trace sanitizer first: reorder, dedupe
     /// and synthesize missing window edges where possible, quarantining

@@ -43,11 +43,12 @@ use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
+use bbmg_obs::NoopObserver;
 use bbmg_trace::{EventKind, Trace};
 
 use crate::checkpoint::{payload_checksum, Checkpoint, CheckpointError};
 use crate::error::LearnError;
-use crate::incremental::{IncrementalLearner, Observed};
+use crate::incremental::IncrementalLearner;
 use crate::options::LearnOptions;
 use crate::LearnResult;
 
@@ -422,12 +423,14 @@ impl ModelCache {
     /// antichain and statistics byte-identical to a cold learn of the same
     /// trace (determinism-tested in `tests/corpus.rs`).
     ///
-    /// A run stopped by the wall-clock budget is *not* cached — its result
-    /// depends on timing, not only on `(trace, options)`.
+    /// The run is [`IncrementalLearner::drive`]'s, so it degrades and
+    /// records unprocessed periods exactly as [`learn`](crate::learn)
+    /// does. A run stopped by the budget is *not* cached — a wall-clock
+    /// stop depends on timing, not only on `(trace, options)`.
     ///
     /// # Errors
     ///
-    /// [`CacheError::Learn`] if the learner rejects the trace;
+    /// [`CacheError::Learn`] if the learner fails as `learn` would;
     /// [`CacheError::Checkpoint`] if a completed model cannot be written.
     pub fn learn(
         &mut self,
@@ -467,8 +470,8 @@ impl ModelCache {
         self.drive(learner, trace, 0, &fingerprints, CacheHit::Miss)
     }
 
-    /// Pushes `trace.periods()[start..]` into `learner`, caches the
-    /// completed model, and finishes.
+    /// Pushes `trace.periods()[start..]` into `learner`, caches the model
+    /// if the run completed, and finishes.
     fn drive(
         &mut self,
         mut learner: IncrementalLearner,
@@ -477,17 +480,9 @@ impl ModelCache {
         fingerprints: &TraceFingerprints,
         hit: CacheHit,
     ) -> Result<CachedLearn, CacheError> {
-        let mut stopped = false;
-        for period in &trace.periods()[start..] {
-            match learner.push_period(period).map_err(CacheError::Learn)? {
-                Observed::BudgetStopped { .. } => {
-                    stopped = true;
-                    break;
-                }
-                Observed::Accepted | Observed::Skipped(_) => {}
-            }
-        }
-        if !stopped {
+        let rest = &trace.periods()[start..];
+        let complete = learner.drive(rest, &mut NoopObserver, |_, _, _, _| Ok(()));
+        if complete.map_err(CacheError::Learn)? {
             self.insert(fingerprints.full(), &learner.checkpoint())?;
         }
         Ok(CachedLearn {

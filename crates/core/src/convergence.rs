@@ -35,9 +35,11 @@ pub struct ConvergencePoint {
 
 /// Computes the convergence timeline of a learn run over `trace`.
 ///
-/// Quarantined periods (under [`OnInconsistent::SkipPeriod`]) produce no
-/// sample; a budget stop ends the timeline early. The returned timeline is
-/// empty only for an empty trace.
+/// The run is [`IncrementalLearner::drive`]'s, so it degrades exactly as
+/// [`learn`](crate::learn) does. Quarantined periods (under
+/// [`OnInconsistent::SkipPeriod`]) produce no sample; a budget stop ends
+/// the timeline early. The returned timeline is empty only for an empty
+/// trace.
 ///
 /// [`OnInconsistent::SkipPeriod`]: crate::OnInconsistent::SkipPeriod
 ///
@@ -67,17 +69,14 @@ pub fn convergence_timeline_with<O: Observer + ?Sized>(
 ) -> Result<Vec<ConvergencePoint>, LearnError> {
     let mut learner = IncrementalLearner::new(trace.task_count(), options);
     let mut snapshots: Vec<(usize, usize, DependencyFunction)> = Vec::new();
-    for period in trace.periods() {
-        match learner.push_period_with(period, observer)? {
-            Observed::Accepted => {
-                if let Some(lub) = lub_of(&learner) {
-                    snapshots.push((period.index(), learner.len(), lub));
-                }
+    learner.drive(trace.periods(), observer, |learner, period, observed, _| {
+        if *observed == Observed::Accepted {
+            if let Some(lub) = lub_of(learner) {
+                snapshots.push((period.index(), learner.len(), lub));
             }
-            Observed::Skipped(_) => {}
-            Observed::BudgetStopped { .. } => break,
         }
-    }
+        Ok::<_, LearnError>(())
+    })?;
     let final_lub = match snapshots.last() {
         Some((_, _, lub)) => lub.clone(),
         None => return Ok(Vec::new()),
@@ -183,6 +182,38 @@ mod tests {
         assert_eq!(timeline[0].hypotheses, 1);
         assert_eq!(timeline[0].lub_weight, timeline[1].lub_weight);
         assert_eq!(timeline.last().unwrap().period, 1);
+    }
+
+    /// The paper's Figure 1 design exercised exhaustively: one canonical
+    /// period per behaviour, three in all.
+    #[test]
+    fn figure_1_timeline_only_generalizes() {
+        use bbmg_moc::{append_canonical_period, CanonicalTiming};
+
+        let model = bbmg_workloads::simple::figure_1_model();
+        let mut builder = TraceBuilder::new(model.universe().clone());
+        let mut clock = Timestamp::ZERO;
+        for behavior in &model.enumerate_behaviors() {
+            builder.begin_period();
+            clock = append_canonical_period(
+                &model,
+                behavior,
+                CanonicalTiming::default(),
+                &mut builder,
+                clock,
+            )
+            .unwrap();
+            builder.end_period().unwrap();
+            clock = clock + 10;
+        }
+        let timeline = convergence_timeline(&builder.finish(), LearnOptions::exact()).unwrap();
+        assert_eq!(timeline.len(), 3);
+        assert!(timeline.iter().all(|p| p.hypotheses >= 1));
+        // More observation only generalizes the LUB of this trace.
+        assert!(timeline
+            .windows(2)
+            .all(|w| w[0].lub_weight <= w[1].lub_weight));
+        assert_eq!(timeline.last().unwrap().period, 2);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The learning engine: push periods one at a time under a graceful
 //! degradation policy, snapshot to a [`Checkpoint`] at any boundary, and
 //! resume later — byte-identically. [`IncrementalLearner`] documents the
-//! degradation ladder; [`robust_learn`] drives it over a whole trace.
+//! degradation ladder; [`IncrementalLearner::drive`] is the one loop that
+//! walks a trace through it, and [`learn`] drives it over a whole trace.
 //!
 //! A fallback seeds the bounded learner from the current antichain
 //! instead of replaying the trace, which keeps the learner's full state
 //! equal to (antichain, history bitmap, options, stats, counters) —
 //! `O(model)`, not `O(trace)` — and that is precisely what [`Checkpoint`]
-//! captures. Every entry point ([`robust_learn`], `learn
+//! captures. Every entry point ([`learn`], `learn
 //! --checkpoint`/`resume`, the [`ModelCache`](crate::ModelCache), serve
 //! shards) runs this one engine. The defining invariant, enforced by the
 //! `checkpoint_roundtrip` proptest and the kill-and-resume chaos test:
@@ -40,9 +41,10 @@ pub enum Observed {
     /// The period was quarantined; the learner state is as if it had never
     /// been seen.
     Skipped(SkippedPeriod),
-    /// The budget ran out in bounded mode; the period was not processed
-    /// and the caller should stop feeding (each further period will report
-    /// the same). The partial result remains valid.
+    /// Under [`OnInconsistent::SkipPeriod`], the budget ran out in bounded
+    /// mode; the period was not processed and the caller should stop
+    /// feeding, as [`IncrementalLearner::drive`] does. The partial result
+    /// remains valid.
     BudgetStopped {
         /// Index of the unprocessed period.
         period: usize,
@@ -51,15 +53,17 @@ pub enum Observed {
 
 /// A checkpointable period-at-a-time learner with graceful degradation.
 ///
-/// The plain [`Learner`] is brittle by design: one inconsistent period
-/// empties the hypothesis set and the whole run is lost. That is correct
-/// for trusted traces, but a field capture from a real bus logger *will*
-/// contain periods the model of computation cannot explain. This engine
-/// trades completeness for survival, under three rules:
+/// Under [`OnInconsistent::Abort`] (the default) it never degrades: an
+/// inconsistent period, a set-limit trip and a budget trip are each a
+/// typed [`LearnError`], with the push rolled back. That is correct for
+/// trusted traces, but a field capture from a real bus logger *will*
+/// contain periods the model of computation cannot explain.
+/// [`OnInconsistent::SkipPeriod`] trades completeness for survival, under
+/// three rules:
 ///
-/// * **Quarantine** — with [`OnInconsistent::SkipPeriod`], a period that
-///   would empty the hypothesis set is rolled back (snapshot/restore) and
-///   recorded in [`LearnStats::skipped_periods`] with the killing message.
+/// * **Quarantine** — a period that would empty the hypothesis set is
+///   rolled back (snapshot/restore) and recorded in
+///   [`LearnStats::skipped_periods`] with the killing message.
 /// * **Fallback** — if the exact algorithm trips its
 ///   [`set_limit`](crate::LearnOptions::set_limit) or
 ///   [`Budget`](crate::Budget), the run switches to the bounded heuristic
@@ -71,7 +75,9 @@ pub enum Observed {
 ///   budget clock carry over: the engine changed, the run did not restart.
 /// * **Early stop** — if the budget runs out in bounded mode there is
 ///   nothing cheaper to fall back to; the run keeps its partial result and
-///   reports the unprocessed periods as skipped.
+///   [`drive`](Self::drive) reports the unprocessed periods as skipped.
+///
+/// An explicit [`degrade`](Self::degrade) falls back under either policy.
 ///
 /// All three degradations are *sound* for the learned model: dropping
 /// observations can only leave the result less constrained (closer to
@@ -210,8 +216,8 @@ impl IncrementalLearner {
     ///
     /// # Errors
     ///
-    /// [`LearnError::Inconsistent`] only under [`OnInconsistent::Abort`];
-    /// [`LearnError::UniverseMismatch`] always propagates.
+    /// Inconsistency, set-limit and budget errors only under
+    /// [`OnInconsistent::Abort`]; [`LearnError::UniverseMismatch`] always.
     pub fn push_period(&mut self, period: &Period) -> Result<Observed, LearnError> {
         self.push_inner(period, true, &mut NoopObserver)
     }
@@ -231,10 +237,43 @@ impl IncrementalLearner {
         self.push_inner(period, true, observer)
     }
 
-    /// Records `period` as unprocessed due to budget exhaustion without
-    /// touching the learner (bookkeeping after
-    /// [`Observed::BudgetStopped`] — no silent data loss).
-    pub fn mark_unprocessed(&mut self, period: usize) {
+    /// Pushes `periods` in order: the one loop every whole-trace entry
+    /// point runs. After each consumed (accepted or quarantined) period,
+    /// `each` sees the learner, the period and its [`Observed`]. On
+    /// [`Observed::BudgetStopped`] the stopping period and every later one
+    /// are recorded as [`SkipCause::BudgetExhausted`] and the run ends.
+    /// Returns whether every period was consumed.
+    ///
+    /// # Errors
+    ///
+    /// The first error of [`push_period_with`](Self::push_period_with) or
+    /// of `each`.
+    pub fn drive<'p, O, E>(
+        &mut self,
+        periods: impl IntoIterator<Item = &'p Period>,
+        observer: &mut O,
+        mut each: impl FnMut(&mut Self, &Period, &Observed, &mut O) -> Result<(), E>,
+    ) -> Result<bool, E>
+    where
+        O: Observer + ?Sized,
+        E: From<LearnError>,
+    {
+        let mut periods = periods.into_iter();
+        while let Some(period) = periods.next() {
+            let observed = self.push_period_with(period, observer)?;
+            if let Observed::BudgetStopped { .. } = observed {
+                for unprocessed in std::iter::once(period).chain(periods) {
+                    self.mark_unprocessed(unprocessed.index());
+                }
+                return Ok(false);
+            }
+            each(self, period, &observed, observer)?;
+        }
+        Ok(true)
+    }
+
+    /// Records `period` as left unprocessed by a budget stop.
+    fn mark_unprocessed(&mut self, period: usize) {
         let skip = SkippedPeriod {
             period,
             cause: SkipCause::BudgetExhausted,
@@ -386,15 +425,15 @@ impl IncrementalLearner {
         observer: &mut O,
     ) -> Result<Observed, LearnError> {
         let snapshot = self.learner.clone();
+        // Abort never degrades: each trip falls through to the last arm.
+        let skip = self.learner.options().on_inconsistent == OnInconsistent::SkipPeriod;
         match self.learner.observe_with(period, observer) {
             Ok(()) => {
                 self.pushed_periods += 1;
                 self.debug_validate("push_period");
                 Ok(Observed::Accepted)
             }
-            Err(LearnError::Inconsistent { period: p, message })
-                if self.learner.options().on_inconsistent == OnInconsistent::SkipPeriod =>
-            {
+            Err(LearnError::Inconsistent { period: p, message }) if skip => {
                 self.learner = snapshot;
                 let skip = SkippedPeriod {
                     period: p,
@@ -406,13 +445,13 @@ impl IncrementalLearner {
                 Ok(Observed::Skipped(skip))
             }
             Err(LearnError::SetLimitExceeded { .. } | LearnError::BudgetExhausted { .. })
-                if allow_fallback && self.learner.options().bound.is_none() =>
+                if skip && allow_fallback && self.learner.options().bound.is_none() =>
             {
                 self.learner = snapshot;
                 self.fall_back(observer);
                 self.push_inner(period, false, observer)
             }
-            Err(LearnError::BudgetExhausted { period: p, .. }) => {
+            Err(LearnError::BudgetExhausted { period: p, .. }) if skip => {
                 // The sampled budget guard can trip mid-period; roll back
                 // so the partial result only reflects full periods.
                 self.learner = snapshot;
@@ -449,39 +488,35 @@ impl IncrementalLearner {
     }
 }
 
-/// Runs the [`IncrementalLearner`] over every period of `trace`. On budget
-/// exhaustion in bounded mode the remaining periods are recorded as
-/// skipped and the partial result is returned.
+/// Runs the [`IncrementalLearner`] over every period of `trace` (see
+/// [`IncrementalLearner::drive`]).
 ///
 /// # Errors
 ///
 /// See [`IncrementalLearner::push_period`].
-pub fn robust_learn(trace: &Trace, options: LearnOptions) -> Result<LearnResult, LearnError> {
-    robust_learn_with(trace, options, &mut NoopObserver)
+///
+/// # Example
+///
+/// See the [crate-level example](crate).
+pub fn learn(trace: &Trace, options: LearnOptions) -> Result<LearnResult, LearnError> {
+    learn_with(trace, options, &mut NoopObserver)
 }
 
-/// [`robust_learn`] with instrumentation (see
+/// [`learn`] with instrumentation (see
 /// [`IncrementalLearner::push_period_with`]).
 ///
 /// # Errors
 ///
 /// See [`IncrementalLearner::push_period`].
-pub fn robust_learn_with<O: Observer + ?Sized>(
+pub fn learn_with<O: Observer + ?Sized>(
     trace: &Trace,
     options: LearnOptions,
     observer: &mut O,
 ) -> Result<LearnResult, LearnError> {
     let mut learner = IncrementalLearner::new(trace.task_count(), options);
-    let mut periods = trace.periods().iter();
-    for period in periods.by_ref() {
-        if let Observed::BudgetStopped { period: p } = learner.push_period_with(period, observer)? {
-            learner.mark_unprocessed(p);
-            break;
-        }
-    }
-    for period in periods {
-        learner.mark_unprocessed(period.index());
-    }
+    learner.drive(trace.periods(), observer, |_, _, _, _| {
+        Ok::<_, LearnError>(())
+    })?;
     Ok(learner.finish())
 }
 
@@ -494,6 +529,7 @@ mod tests {
 
     use super::*;
     use crate::options::Budget;
+    use crate::robust_learn;
 
     fn universe3() -> TaskUniverse {
         TaskUniverse::from_names(["a", "b", "c"])
@@ -646,12 +682,14 @@ mod tests {
         }
         let trace = builder.finish();
         let options = LearnOptions::exact().with_set_limit(2);
-        // The plain learner dies...
+        // Under the default abort policy the trip is an error...
         assert!(matches!(
-            crate::learner::learn(&trace, options),
+            learn(&trace, options),
             Err(LearnError::SetLimitExceeded { .. })
         ));
-        // ...this one switches to the bounded heuristic and finishes.
+        // ...under the skip policy the engine switches to the bounded
+        // heuristic and finishes.
+        let options = options.with_on_inconsistent(OnInconsistent::SkipPeriod);
         let result = robust_learn(&trace, options).unwrap();
         let stats = result.stats();
         assert_eq!(stats.fallbacks, 1);
@@ -673,6 +711,80 @@ mod tests {
         assert_eq!(restored.options(), learner.options());
     }
 
+    /// The learner's state with the budget clock zeroed: the one field
+    /// that moves while nothing is learned.
+    fn state(learner: &IncrementalLearner) -> String {
+        let mut checkpoint = learner.checkpoint();
+        checkpoint.elapsed = Duration::ZERO;
+        checkpoint.to_json()
+    }
+
+    #[test]
+    fn abort_policy_turns_resource_trips_into_errors() {
+        let u = TaskUniverse::from_names(["a", "b", "c", "d", "e"]);
+        let senders = ["a", "b", "c"].map(|n| u.lookup(n).unwrap());
+        let receivers = ["d", "e"].map(|n| u.lookup(n).unwrap());
+        let mut builder = TraceBuilder::new(u);
+        for p in 0..3 {
+            fan_period(&mut builder, p * 1000, &senders, &receivers, 2);
+        }
+        let trace = builder.finish();
+        let dir = std::env::temp_dir().join(format!("bbmg-abort-trips-{}", std::process::id()));
+        for (options, trip) in [
+            (LearnOptions::exact().with_set_limit(2), "set limit"),
+            (
+                LearnOptions::exact().with_budget(Budget::unlimited().with_max_steps(3)),
+                "step budget",
+            ),
+        ] {
+            let mut learner = IncrementalLearner::new(5, options);
+            let mut recorder = bbmg_obs::Recorder::new();
+            let error = trace
+                .periods()
+                .iter()
+                .find_map(|period| {
+                    let before = state(&learner);
+                    let error = learner.push_period_with(period, &mut recorder).err()?;
+                    assert_eq!(state(&learner), before, "{trip}: the push rolls back");
+                    Some(error)
+                })
+                .unwrap_or_else(|| panic!("{trip}: the trace trips it"));
+            assert!(
+                matches!(
+                    error,
+                    LearnError::SetLimitExceeded { .. } | LearnError::BudgetExhausted { .. }
+                ),
+                "{trip}: {error:?}"
+            );
+            assert_eq!(learner.stats().fallbacks, 0, "{trip}: no fallback");
+            assert!(learner.stats().skipped_periods.is_empty(), "{trip}");
+            assert!(
+                !recorder
+                    .events()
+                    .iter()
+                    .any(|e| matches!(e.event, Event::Fallback { .. } | Event::Quarantine { .. })),
+                "{trip}: nothing degrades"
+            );
+
+            assert_eq!(learn(&trace, options).unwrap_err(), error, "{trip}: learn");
+            assert_eq!(
+                crate::convergence_timeline(&trace, options).unwrap_err(),
+                error,
+                "{trip}: convergence_timeline"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut cache = crate::ModelCache::open(&dir, NonZeroUsize::new(4).unwrap()).unwrap();
+            match cache.learn(&trace, options) {
+                Err(crate::CacheError::Learn(cached)) => {
+                    assert_eq!(cached, error, "{trip}: ModelCache::learn");
+                }
+                other => panic!("{trip}: ModelCache::learn gave {other:?}"),
+            }
+            assert!(cache.is_empty(), "{trip}: nothing is cached");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn forced_degradation_switches_to_bounded_once() {
         let trace = trace(2);
@@ -690,7 +802,9 @@ mod tests {
     #[test]
     fn budget_stop_keeps_partial_result_and_resumes() {
         let trace = trace(4);
-        let options = LearnOptions::bounded(8).with_budget(Budget::unlimited().with_max_steps(3));
+        let options = LearnOptions::bounded(8)
+            .with_budget(Budget::unlimited().with_max_steps(3))
+            .with_on_inconsistent(OnInconsistent::SkipPeriod);
         let mut learner = IncrementalLearner::new(3, options);
         let mut stopped_at = None;
         for period in trace.periods() {
@@ -764,7 +878,9 @@ mod tests {
             consistent_period(&mut builder, p * 1000, 2);
         }
         let trace = builder.finish();
-        let options = LearnOptions::exact().with_budget(Budget::unlimited().with_max_steps(3));
+        let options = LearnOptions::exact()
+            .with_budget(Budget::unlimited().with_max_steps(3))
+            .with_on_inconsistent(OnInconsistent::SkipPeriod);
         let result = robust_learn(&trace, options).unwrap();
         let stats = result.stats();
         assert_eq!(stats.fallbacks, 1);
@@ -815,8 +931,9 @@ mod tests {
         // via the sampled guard. The partial branching work must be rolled
         // back: the result has to be byte-identical to learning a trace
         // that simply ends after the cheap period.
-        let options =
-            LearnOptions::bounded(16).with_budget(Budget::unlimited().with_max_steps(1024));
+        let options = LearnOptions::bounded(16)
+            .with_budget(Budget::unlimited().with_max_steps(1024))
+            .with_on_inconsistent(OnInconsistent::SkipPeriod);
         let stopped = robust_learn(&cheap_then_blowup(true), options).unwrap();
         let clean = robust_learn(&cheap_then_blowup(false), options).unwrap();
 
@@ -839,7 +956,8 @@ mod tests {
     fn wall_clock_budget_trips() {
         let trace = mixed_trace();
         let options = LearnOptions::bounded(8)
-            .with_budget(Budget::unlimited().with_max_wall_clock(Duration::ZERO));
+            .with_budget(Budget::unlimited().with_max_wall_clock(Duration::ZERO))
+            .with_on_inconsistent(OnInconsistent::SkipPeriod);
         let result = robust_learn(&trace, options).unwrap();
         assert_eq!(result.stats().periods, 0);
         assert_eq!(result.stats().skipped_periods.len(), trace.periods().len());

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use bbmg_lattice::{packed, DependencyFunction, DependencyValue, FunctionArena, TaskId};
 use bbmg_obs::{NoopObserver, Observer};
-use bbmg_trace::{Period, Trace};
+use bbmg_trace::Period;
 
 use crate::error::LearnError;
 use crate::history::ExecutionHistory;
@@ -72,6 +72,9 @@ struct Branch {
 
 /// The incremental learner: feed it periods with [`observe`], read the
 /// current most-specific hypothesis set at any time.
+///
+/// It has no failure policy; [`IncrementalLearner`](crate::IncrementalLearner)
+/// drives it for every entry point.
 ///
 /// Starts from `D0 = {d⊥}` and, per period:
 ///
@@ -263,13 +266,10 @@ impl Learner {
     /// [`BUDGET_SAMPLE_INTERVAL`] generated hypotheses, so a blow-up
     /// inside one period is cut short; a mid-period trip keeps the
     /// pre-period hypothesis set but leaves history and statistics
-    /// partway through the period (callers that need transactional
-    /// behaviour snapshot first, as
-    /// [`IncrementalLearner`](crate::IncrementalLearner) does; it also
-    /// turns an exact-mode `SetLimitExceeded` or `BudgetExhausted` into
-    /// its bounded fallback, seeded from the pre-period antichain).
-    /// After an `Inconsistent` or `SetLimitExceeded` error the learner is
-    /// empty and further observations keep failing.
+    /// partway through the period. After an `Inconsistent` or
+    /// `SetLimitExceeded` error the learner is empty and further
+    /// observations keep failing. [`IncrementalLearner`](crate::IncrementalLearner)
+    /// rolls back every error and applies the failure policy.
     pub fn observe(&mut self, period: &Period) -> Result<(), LearnError> {
         self.observe_with(period, &mut NoopObserver)
     }
@@ -812,38 +812,6 @@ impl LearnResult {
     }
 }
 
-/// Runs the learner over every period of `trace`.
-///
-/// # Errors
-///
-/// Propagates the first [`LearnError`] (see [`Learner::observe`]).
-///
-/// # Example
-///
-/// See the [crate-level example](crate).
-pub fn learn(trace: &Trace, options: LearnOptions) -> Result<LearnResult, LearnError> {
-    learn_with(trace, options, &mut NoopObserver)
-}
-
-/// [`learn`] with instrumentation: every period, branching step, merge,
-/// and budget heartbeat is reported to `observer` (see
-/// [`Learner::observe_with`]).
-///
-/// # Errors
-///
-/// Propagates the first [`LearnError`] (see [`Learner::observe`]).
-pub fn learn_with<O: Observer + ?Sized>(
-    trace: &Trace,
-    options: LearnOptions,
-    observer: &mut O,
-) -> Result<LearnResult, LearnError> {
-    let mut learner = Learner::new(trace.task_count(), options);
-    for period in trace.periods() {
-        learner.observe_with(period, observer)?;
-    }
-    Ok(learner.into_result())
-}
-
 #[cfg(test)]
 mod tests {
     use bbmg_lattice::{DependencyValue as V, TaskUniverse};
@@ -851,6 +819,7 @@ mod tests {
 
     use super::*;
     use crate::matching::matches_trace;
+    use crate::{learn, learn_with};
 
     fn t(i: usize) -> TaskId {
         TaskId::from_index(i)

@@ -73,12 +73,16 @@ pub use checkpoint::{
 };
 pub use convergence::{convergence_timeline, convergence_timeline_with, ConvergencePoint};
 pub use error::LearnError;
+pub use incremental::{learn, learn_with};
+/// `robust_learn` and `robust_learn_with` are other names for [`learn`]
+/// and [`learn_with`]: every entry point runs the one engine.
 pub use incremental::{
-    robust_learn, robust_learn_with, IncrementalLearner, Observed, DEFAULT_FALLBACK_BOUND,
+    learn as robust_learn, learn_with as robust_learn_with, IncrementalLearner, Observed,
+    DEFAULT_FALLBACK_BOUND,
 };
 pub use learner::{
-    learn, learn_with, LearnResult, Learner, BOUNDED_BRANCH_WORDS, BUDGET_SAMPLE_INTERVAL,
-    PARALLEL_BRANCH_WORDS, PARALLEL_SCAN_WORDS,
+    LearnResult, Learner, BOUNDED_BRANCH_WORDS, BUDGET_SAMPLE_INTERVAL, PARALLEL_BRANCH_WORDS,
+    PARALLEL_SCAN_WORDS,
 };
 pub use matching::{
     execution_consistent, matches_period, matches_period_relaxed, matches_period_with,

@@ -3,20 +3,22 @@
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
-/// What the [`crate::IncrementalLearner`] (and so [`crate::robust_learn`])
-/// does when a period makes the hypothesis set inconsistent.
+/// The one failure policy of the [`crate::IncrementalLearner`], and so of
+/// every entry point, for inconsistent periods and resource trips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OnInconsistent {
-    /// Propagate [`crate::LearnError::Inconsistent`] and stop — the plain
-    /// learner's behaviour, and the right call when the trace is trusted
-    /// (a clean simulation) and inconsistency means a real bug.
+    /// Never degrade: an inconsistent period, a set-limit trip and a
+    /// budget trip each propagate as a [`crate::LearnError`] and stop the
+    /// run — the right call when the trace is trusted (a clean simulation)
+    /// and inconsistency means a real bug.
     #[default]
     Abort,
-    /// Quarantine the period: roll the learner back to its state before
-    /// the period and continue with the next one. Sound for the learned
-    /// model — dropping observations can only leave the result *less*
-    /// constrained, never wrong — and recorded per period in
-    /// [`crate::LearnStats::skipped_periods`].
+    /// Quarantine an inconsistent period (roll back, record it in
+    /// [`crate::LearnStats::skipped_periods`], continue), fall back to the
+    /// bounded heuristic on an exact-mode resource trip, and stop early on
+    /// a bounded-mode budget trip. Sound for the learned model — dropping
+    /// observations can only leave the result *less* constrained, never
+    /// wrong.
     SkipPeriod,
 }
 
@@ -24,11 +26,12 @@ pub enum OnInconsistent {
 ///
 /// Either limit being reached surfaces as
 /// [`crate::LearnError::BudgetExhausted`], which (unlike the other learner
-/// errors) leaves the hypothesis set intact: the partial result is usable,
-/// and the [`crate::IncrementalLearner`] responds by falling back to the
-/// bounded heuristic (seeded from the current antichain, with the budget
-/// clock carried over, so the budget covers exact plus bounded work) or
-/// stopping early.
+/// errors) leaves the hypothesis set intact. Under
+/// [`OnInconsistent::SkipPeriod`] the [`crate::IncrementalLearner`] falls
+/// back to the bounded heuristic (seeded from the current antichain, with
+/// the budget clock carried over, so the budget covers exact plus bounded
+/// work) or stops early with the partial result; under
+/// [`OnInconsistent::Abort`] it returns the error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budget {
     /// Maximum number of generation steps (hypotheses generated across all
@@ -121,9 +124,7 @@ pub struct LearnOptions {
     /// unbounded time and memory (the problem is NP-hard, paper
     /// Theorem 1). Ignored in bounded mode, where the bound caps the set.
     pub set_limit: Option<NonZeroUsize>,
-    /// Degradation policy when a period is inconsistent (honoured by
-    /// [`crate::IncrementalLearner`] and [`crate::robust_learn`]; the plain
-    /// [`crate::Learner`] always aborts).
+    /// Failure policy at every entry point (see [`OnInconsistent`]).
     pub on_inconsistent: OnInconsistent,
     /// Step/wall-clock budget, checked before each period.
     pub budget: Budget,

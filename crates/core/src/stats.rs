@@ -63,9 +63,9 @@ pub struct LearnStats {
     pub set_sizes_per_period: Vec<usize>,
     /// Sum over messages of the candidate-pair count `|A_m|`.
     pub candidate_pairs_total: usize,
-    /// Periods quarantined by the [`crate::IncrementalLearner`] (empty for
-    /// plain [`crate::Learner`] runs). A fallback keeps the records made
-    /// before it.
+    /// Periods quarantined by the [`crate::IncrementalLearner`], and the
+    /// periods a budget stop left unprocessed. A fallback keeps the
+    /// records made before it.
     pub skipped_periods: Vec<SkippedPeriod>,
     /// Times the [`crate::IncrementalLearner`] fell back from the exact
     /// algorithm to the bounded heuristic (0 or 1 in practice). The other

@@ -23,7 +23,9 @@
 //! * a **watchdog** restarts a shard that wedges (a learner error that is
 //!   not part of normal degradation) from its last checkpoint, with
 //!   exponential backoff and a restart budget; a shard that exhausts the
-//!   budget parks as `stopped`, keeping its partial model.
+//!   budget parks as `stopped`, keeping its partial model. Under
+//!   `OnInconsistent::Abort` a learner set-limit or budget trip is such
+//!   an error too: abort never degrades.
 //!
 //! Everything observable — repairs, quarantines, fallbacks, checkpoints,
 //! and every state transition — is reported through [`bbmg_obs::Observer`]

@@ -38,8 +38,9 @@ use crate::{ServeError, ServeOptions};
 pub enum ShardState {
     /// Learning with the full exact antichain.
     Exact,
-    /// Fell back to the bounded heuristic (watermark crossing or an
-    /// exact-mode resource trip inside the learner).
+    /// Fell back to the bounded heuristic (watermark crossing, or under
+    /// `OnInconsistent::SkipPeriod` an exact-mode resource trip inside the
+    /// learner).
     Degraded,
     /// Checkpointed and now dropping further periods: the model is frozen
     /// at its last consistent state, the shard stays alive and accounted.
@@ -288,7 +289,8 @@ impl StreamShard {
     /// [`ServeError::Checkpoint`] if a configured checkpoint write fails;
     /// [`ServeError::Learn`] only for caller bugs (universe mismatch) —
     /// learner inconsistencies and resource trips are absorbed by the
-    /// ladder and the watchdog.
+    /// ladder and the watchdog (under `OnInconsistent::Abort`, the
+    /// watchdog alone).
     pub fn ingest<O: Observer + ?Sized>(
         &mut self,
         period: usize,
@@ -522,6 +524,8 @@ impl StreamShard {
         Ok(Event::new(Timestamp::new(time), kind))
     }
 
+    /// Pushes one ready period: periods arrive one at a time, so this is
+    /// the one loop outside [`IncrementalLearner::drive`].
     fn consume<O: Observer + ?Sized>(
         &mut self,
         done: &StreamedPeriod,
@@ -547,8 +551,8 @@ impl StreamShard {
         match outcome {
             Ok(Observed::Accepted | Observed::Skipped(_)) => {
                 self.since_checkpoint += 1;
-                // An exact-mode resource trip inside the learner falls back
-                // on its own; mirror it on the ladder.
+                // Under the skip policy an exact-mode resource trip inside
+                // the learner falls back on its own; mirror it on the ladder.
                 if self.state == ShardState::Exact && self.learner.options().bound.is_some() {
                     self.transition(
                         ShardState::Degraded,
@@ -563,6 +567,8 @@ impl StreamShard {
                 }
                 self.enforce_watermark(observer)
             }
+            // A stream has no remaining periods to mark unprocessed, as
+            // the driver does, so it counts shed periods instead.
             Ok(Observed::BudgetStopped { .. }) => {
                 self.shed_periods += 1;
                 self.take_checkpoint(observer)?;
@@ -697,5 +703,81 @@ impl StreamShard {
         self.last_checkpoint = Some(checkpoint);
         self.since_checkpoint = 0;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bbmg_core::{LearnOptions, OnInconsistent};
+    use bbmg_obs::{Event as ObsEvent, Recorder};
+
+    use super::*;
+
+    /// Feeds `periods` periods in which `a`, `b` and `c` end before two
+    /// messages and `d` and `e` start after them: six candidate pairs per
+    /// message, well past an exact set limit of 2.
+    fn feed(shard: &mut StreamShard, periods: usize, observer: &mut Recorder) {
+        for p in 0..periods {
+            let base = p as u64 * 1000;
+            let mut events = Vec::new();
+            for (i, task) in (0..).zip(["a", "b", "c"]) {
+                events.push((base + i, WireKind::Start, task.to_string()));
+                events.push((base + 10 + i, WireKind::End, task.to_string()));
+            }
+            for (i, m) in (0..).zip([2 * p, 2 * p + 1]) {
+                events.push((base + 20 + 2 * i, WireKind::Rise, format!("m{m}")));
+                events.push((base + 21 + 2 * i, WireKind::Fall, format!("m{m}")));
+            }
+            for (i, task) in (0..).zip(["d", "e"]) {
+                events.push((base + 60 + i, WireKind::Start, task.to_string()));
+                events.push((base + 70 + i, WireKind::End, task.to_string()));
+            }
+            events.sort_by_key(|&(time, _, _)| time);
+            for (time, kind, subject) in events {
+                shard.ingest(p, time, kind, &subject, observer).unwrap();
+            }
+        }
+    }
+
+    /// Runs three such periods through a shard whose exact learner has
+    /// set limit 2, returning its summary and every state it reported.
+    fn run(policy: OnInconsistent) -> (ShardSummary, Vec<String>) {
+        let options = ServeOptions {
+            learn: LearnOptions::exact()
+                .with_set_limit(2)
+                .with_on_inconsistent(policy),
+            ..ServeOptions::default()
+        };
+        let universe = TaskUniverse::from_names(["a", "b", "c", "d", "e"]);
+        let mut shard = StreamShard::new("bus0", universe, options);
+        let mut recorder = Recorder::new();
+        feed(&mut shard, 3, &mut recorder);
+        let summary = shard.finish(&mut recorder).unwrap();
+        let states = recorder
+            .events()
+            .iter()
+            .filter_map(|e| match &e.event {
+                ObsEvent::ShardHealth { state, .. } => Some(state.clone()),
+                _ => None,
+            })
+            .collect();
+        (summary, states)
+    }
+
+    #[test]
+    fn abort_policy_restarts_a_set_limit_trip_instead_of_degrading() {
+        let (aborted, states) = run(OnInconsistent::Abort);
+        assert!(aborted.restarts >= 1, "the watchdog restarts: {states:?}");
+        assert!(
+            states.iter().all(|s| s != "degraded"),
+            "never degraded: {states:?}"
+        );
+        assert_eq!(aborted.result.stats().fallbacks, 0);
+
+        let (skipped, states) = run(OnInconsistent::SkipPeriod);
+        assert_eq!(skipped.state, ShardState::Degraded, "{states:?}");
+        assert_eq!(skipped.restarts, 0);
+        assert_eq!(skipped.periods, 3);
+        assert_eq!(skipped.result.stats().fallbacks, 1);
     }
 }

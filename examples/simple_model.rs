@@ -3,7 +3,8 @@
 //!
 //! Run with: `cargo run --example simple_model`
 
-use bbmg::core::{learn, LearnOptions, Learner};
+use bbmg::core::{learn, IncrementalLearner, LearnError, LearnOptions};
+use bbmg::obs::NoopObserver;
 use bbmg::workloads::simple;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -13,23 +14,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Stream the trace period by period, printing the hypothesis set as it
     // evolves — the paper shows these snapshots after periods 1 and 3.
-    let mut learner = Learner::new(trace.task_count(), LearnOptions::exact());
-    for period in trace.periods() {
-        learner.observe(period)?;
-        println!(
-            "\nafter period {}: {} most-specific hypotheses",
-            period.index() + 1,
-            learner.len()
-        );
-        for (i, d) in learner.hypotheses().iter().enumerate() {
+    let mut learner = IncrementalLearner::new(trace.task_count(), LearnOptions::exact());
+    learner.drive(
+        trace.periods(),
+        &mut NoopObserver,
+        |learner, period, _, _| {
             println!(
-                "hypothesis {} (weight {}):\n{}",
-                i + 1,
-                d.weight(),
-                d.to_table(&universe)
+                "\nafter period {}: {} most-specific hypotheses",
+                period.index() + 1,
+                learner.len()
             );
-        }
-    }
+            for (i, d) in learner.hypotheses().iter().enumerate() {
+                println!(
+                    "hypothesis {} (weight {}):\n{}",
+                    i + 1,
+                    d.weight(),
+                    d.to_table(&universe)
+                );
+            }
+            Ok::<_, LearnError>(())
+        },
+    )?;
 
     // The paper's published final answer.
     let result = learn(&trace, LearnOptions::exact())?;

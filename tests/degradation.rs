@@ -24,12 +24,14 @@ fn set_limit_trip_on_gm_falls_back_to_bounded() {
     let trace = gm_trace(6, 3);
     let options = LearnOptions::exact().with_set_limit(8);
 
-    // The exact algorithm blows through a tiny working-set guard...
+    // Under the default abort policy the exact algorithm blows through a
+    // tiny working-set guard...
     let err = learn(&trace, options).expect_err("branching exceeds the guard");
     assert!(matches!(err, LearnError::SetLimitExceeded { limit: 8, .. }));
 
-    // ...while the robust run switches to the bounded heuristic and
-    // still produces a model from the full trace.
+    // ...while under the skip policy the run switches to the bounded
+    // heuristic and still produces a model from the full trace.
+    let options = options.with_on_inconsistent(OnInconsistent::SkipPeriod);
     let result = robust_learn(&trace, options).expect("fallback rescues the run");
     assert_eq!(result.stats().fallbacks, 1);
     assert_eq!(

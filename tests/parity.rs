@@ -29,14 +29,15 @@
 //! Beside the pins, a differential test requires every entry point to
 //! the degrading engine to agree with `robust_learn_with` on the
 //! limit-1024 designs: checkpoint and resume at every split, the model
-//! cache's three paths, and a serve shard.
+//! cache's three paths, and a serve shard. A second one does the same for
+//! runs that a step budget stops early.
 
 use std::num::NonZeroUsize;
 
 use bbmg::core::{
-    antichain_fingerprint, learn, learn_with, robust_learn, robust_learn_with, CacheHit,
-    Checkpoint, IncrementalLearner, LearnOptions, LearnResult, MergeAssumptions, ModelCache,
-    OnInconsistent,
+    antichain_fingerprint, learn, learn_with, robust_learn, robust_learn_with, Budget, CacheHit,
+    Checkpoint, IncrementalLearner, LearnError, LearnOptions, LearnResult, MergeAssumptions,
+    ModelCache, OnInconsistent,
 };
 use bbmg::obs::{Event, NoopObserver, Recorder};
 use bbmg::serve::{ServeOptions, StreamShard, WireKind};
@@ -392,4 +393,87 @@ fn entry_points_agree_at_set_limit_1024() {
         late_fallbacks > 0,
         "some design must fall back after its first period"
     );
+}
+
+/// Every entry point records a budget stop as `robust_learn_with` does.
+/// GM seed 2007 at bound 16 under the skip policy, with a step budget of
+/// 2,000 / 20,000 / 60,000, leaves 27 / 21 / 9 periods unprocessed. These
+/// must agree with it on antichain and stats, unprocessed periods
+/// included:
+///
+/// * `learn_with`;
+/// * an `IncrementalLearner` checkpointed to JSON after every period it
+///   consumes, as `learn --checkpoint` does, then resumed from each
+///   checkpoint and driven over the rest of the trace;
+/// * a cold `ModelCache::learn`, which caches nothing.
+///
+/// A serve shard is left out: a stream has no remaining periods to
+/// record, so it counts shed periods instead.
+#[test]
+fn entry_points_agree_under_a_step_budget() {
+    let trace = gm::gm_trace(2007).expect("GM simulation succeeds").trace;
+    let dir = std::env::temp_dir().join(format!("bbmg-parity-budget-{}", std::process::id()));
+    for (steps, unprocessed) in [(2_000, 27), (20_000, 21), (60_000, 9)] {
+        let options = LearnOptions::bounded(16)
+            .with_on_inconsistent(OnInconsistent::SkipPeriod)
+            .with_budget(Budget::unlimited().with_max_steps(steps));
+        let expected = robust_learn_with(&trace, options, &mut NoopObserver)
+            .expect("skip policy never aborts");
+        assert_eq!(
+            expected.stats().skipped_periods.len(),
+            unprocessed,
+            "{steps} steps: unprocessed periods"
+        );
+        let same = |path: &str, result: &LearnResult| {
+            assert_eq!(
+                antichain_fingerprint(result.hypotheses()),
+                antichain_fingerprint(expected.hypotheses()),
+                "{steps} steps: {path} antichain"
+            );
+            assert_eq!(
+                result.stats(),
+                expected.stats(),
+                "{steps} steps: {path} stats"
+            );
+        };
+
+        let plain =
+            learn_with(&trace, options, &mut NoopObserver).expect("skip policy never aborts");
+        same("learn_with", &plain);
+
+        let mut learner = IncrementalLearner::new(trace.task_count(), options);
+        let mut saved = vec![learner.checkpoint().to_json()];
+        let complete = learner
+            .drive(trace.periods(), &mut NoopObserver, |learner, _, _, _| {
+                saved.push(learner.checkpoint().to_json());
+                Ok::<_, LearnError>(())
+            })
+            .expect("skip policy never aborts");
+        assert!(!complete, "{steps} steps: the budget stops the run");
+        same("checkpointed run", &learner.finish());
+        assert_eq!(saved.len(), trace.periods().len() - unprocessed + 1);
+        for (split, json) in saved.iter().enumerate() {
+            let checkpoint = Checkpoint::parse_json(json).expect("checkpoint round-trips");
+            let mut resumed = IncrementalLearner::resume(checkpoint).expect("checkpoint resumes");
+            resumed
+                .drive(
+                    &trace.periods()[split..],
+                    &mut NoopObserver,
+                    |_, _, _, _| Ok::<_, LearnError>(()),
+                )
+                .expect("skip policy never aborts");
+            same(&format!("resume at {split}"), &resumed.finish());
+        }
+
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cache = ModelCache::open(&dir, NonZeroUsize::new(4).unwrap()).expect("cache opens");
+        let cold = cache.learn(&trace, options).expect("cold learn");
+        assert_eq!(cold.hit, CacheHit::Miss);
+        same("cold cache", &cold.result);
+        assert!(
+            cache.is_empty(),
+            "{steps} steps: a stopped run is not cached"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
