@@ -81,48 +81,15 @@ pub fn convergence_timeline_with<O: Observer + ?Sized>(
         Some((_, _, lub)) => lub.clone(),
         None => return Ok(Vec::new()),
     };
-    // The per-snapshot weight/distance computations are independent
-    // word-kernel sweeps; fan them out in chunk order (the timeline order
-    // is the snapshot order either way) once the timeline is long enough
-    // to amortize a dispatch to the persistent pool.
-    let threads = if options.parallelism.get() > 1 && snapshots.len() >= 64 {
-        crate::pool::WorkerPool::global().provision(options.parallelism.get())
-    } else {
-        1
-    };
-    let timeline: Vec<ConvergencePoint> = if threads > 1 {
-        let snapshots = std::sync::Arc::new(snapshots);
-        let final_lub = std::sync::Arc::new(final_lub);
-        let jobs: Vec<_> = crate::pool::chunk_ranges(threads, snapshots.len())
-            .into_iter()
-            .map(|range| {
-                let snapshots = std::sync::Arc::clone(&snapshots);
-                let final_lub = std::sync::Arc::clone(&final_lub);
-                move || {
-                    snapshots[range]
-                        .iter()
-                        .map(|(period, hypotheses, lub)| ConvergencePoint {
-                            period: *period,
-                            hypotheses: *hypotheses,
-                            lub_weight: lub.weight(),
-                            distance_to_final: lub.lattice_distance(&final_lub),
-                        })
-                        .collect::<Vec<ConvergencePoint>>()
-                }
-            })
-            .collect();
-        crate::pool::WorkerPool::global().scatter(jobs).concat()
-    } else {
-        snapshots
-            .into_iter()
-            .map(|(period, hypotheses, lub)| ConvergencePoint {
-                period,
-                hypotheses,
-                lub_weight: lub.weight(),
-                distance_to_final: lub.lattice_distance(&final_lub),
-            })
-            .collect()
-    };
+    let timeline: Vec<ConvergencePoint> = snapshots
+        .into_iter()
+        .map(|(period, hypotheses, lub)| ConvergencePoint {
+            period,
+            hypotheses,
+            lub_weight: lub.weight(),
+            distance_to_final: lub.lattice_distance(&final_lub),
+        })
+        .collect();
     for point in &timeline {
         observer.record(Event::Convergence {
             period: point.period,

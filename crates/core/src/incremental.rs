@@ -363,6 +363,11 @@ impl IncrementalLearner {
     /// through [`Checkpoint::parse_json`] are already fully validated;
     /// hand-built ones are re-checked for shape here.
     ///
+    /// [`SkipCause::BudgetExhausted`] records are dropped: they say where
+    /// a run ended, not what it learned, and a checkpoint saved after a
+    /// budget stop resumes at the stopping period. A resumed run that
+    /// stops again records them anew.
+    ///
     /// # Errors
     ///
     /// [`CheckpointError::Malformed`] if the history bitmap or any
@@ -377,7 +382,7 @@ impl IncrementalLearner {
             elapsed,
             hypotheses,
             ran_without,
-            stats,
+            mut stats,
         } = checkpoint;
         if ran_without.len() != tasks * tasks {
             return Err(CheckpointError::Malformed {
@@ -398,6 +403,9 @@ impl IncrementalLearner {
                 ),
             });
         }
+        stats
+            .skipped_periods
+            .retain(|s| s.cause != SkipCause::BudgetExhausted);
         let history = ExecutionHistory::from_bits(tasks, ran_without);
         let learner = Learner::from_state(tasks, options, hypotheses, history, stats, elapsed);
         let learner = IncrementalLearner {

@@ -51,10 +51,6 @@ pub const PARALLEL_SCAN_WORDS: usize = 32 * 1024;
 /// weight in both modes, and the gate keeps its value.
 pub const BOUNDED_BRANCH_WORDS: usize = 64 * 1024;
 
-/// Minimum hypothesis count before negative-example matching fans out
-/// (each `matches_period` call does backtracking, so items are coarse).
-const PARALLEL_MATCH_THRESHOLD: usize = 8;
-
 /// One message's branching state, reused across a period's messages.
 ///
 /// `rows` holds every admitted child in admission order — children stay
@@ -595,42 +591,8 @@ impl Learner {
             });
         }
         let before = self.hypotheses.len();
-        let threads = if self.options.parallelism.get() > 1 && before >= PARALLEL_MATCH_THRESHOLD {
-            WorkerPool::global().provision(self.options.parallelism.get())
-        } else {
-            1
-        };
-        if threads > 1 {
-            // Each matches_period call runs an independent backtracking
-            // search; fan the reads out, keep the retain order here. The
-            // hypothesis set and one period clone move into `Arc`s so the
-            // jobs are `'static`; the set is restored (a move, not a
-            // copy: every worker has dropped its clone once `scatter`
-            // returns) before the retain.
-            let hypotheses = Arc::new(std::mem::take(&mut self.hypotheses));
-            let shared_period = Arc::new(period.clone());
-            let jobs: Vec<_> = pool::chunk_ranges(threads, before)
-                .into_iter()
-                .map(|range| {
-                    let hypotheses = Arc::clone(&hypotheses);
-                    let period = Arc::clone(&shared_period);
-                    move || {
-                        range
-                            .map(|i| !crate::matching::matches_period(&hypotheses[i], &period))
-                            .collect::<Vec<bool>>()
-                    }
-                })
-                .collect();
-            let keep: Vec<bool> = WorkerPool::global().scatter(jobs).concat();
-            self.hypotheses =
-                Arc::try_unwrap(hypotheses).unwrap_or_else(|shared| (*shared).clone());
-            let mut flags = keep.into_iter();
-            self.hypotheses
-                .retain(|_| flags.next().expect("one flag per hypothesis"));
-        } else {
-            self.hypotheses
-                .retain(|h| !crate::matching::matches_period(h, period));
-        }
+        self.hypotheses
+            .retain(|h| !crate::matching::matches_period(h, period));
         if self.hypotheses.is_empty() {
             return Err(LearnError::Inconsistent {
                 period: period.index(),

@@ -85,9 +85,9 @@ pub use learner::{
     PARALLEL_SCAN_WORDS,
 };
 pub use matching::{
-    execution_consistent, matches_period, matches_period_relaxed, matches_period_with,
-    matches_trace, matches_trace_parallel, matches_trace_relaxed, matches_trace_with,
+    execution_consistent, explain_period, matches_period, matches_period_relaxed, matches_trace,
+    matches_trace_relaxed,
 };
 pub use options::{Budget, LearnOptions, MergeAssumptions, OnInconsistent};
 pub use stats::{LearnStats, SkipCause, SkippedPeriod};
-pub use witness::{explain_pair, explain_period, Attribution};
+pub use witness::{explain_pair, Attribution};

@@ -1,14 +1,21 @@
 //! The declarative matching function `M : H × I → bool` (paper
 //! Definition 3).
 //!
-//! The incremental learner never calls these directly — its per-message
-//! branching *constructs* matching hypotheses — but the declarative form is
-//! what the paper's correctness theorem quantifies over, so the test suite
-//! uses it to validate Theorems 2 and 3 on randomized inputs.
+//! The incremental learner's per-message branching *constructs* matching
+//! hypotheses instead of checking them; the declarative form is what the
+//! paper's correctness theorem quantifies over, what negative examples
+//! eliminate by ([`Learner::observe_negative`](crate::Learner::observe_negative)),
+//! and what the test suite validates Theorems 2 and 3 with.
+//!
+//! For a fixed `d`, strict `M` is a bipartite matching of the period's
+//! messages to admissible sender/receiver pairs, so [`explain_period`]
+//! decides it by augmenting paths in polynomial time. Theorem 1's
+//! NP-hardness is about learning, not about checking `M`.
 
 use bbmg_lattice::{DependencyFunction, DependencyValue, TaskId};
-use bbmg_obs::{Event, Observer};
-use bbmg_trace::{Period, Trace};
+use bbmg_trace::{MessageWindow, Period, Trace};
+
+use crate::witness::Attribution;
 
 /// Whether `d` is consistent with the execution set of `period`: no task
 /// that executed makes an unconditional claim (`→`, `←`, `↔`) about a task
@@ -38,55 +45,107 @@ pub fn execution_consistent(d: &DependencyFunction, period: &Period) -> bool {
     true
 }
 
-/// Whether every message of `period` can be *explained* by `d`: there is an
-/// assignment of a timing-feasible sender/receiver pair to each message
-/// such that `d` admits the implied dependency in both directions
-/// (`→ ⊑ d(s, r)` and `← ⊑ d(r, s)`) and no pair is used twice (at most one
-/// message per pair per period).
+/// Whether `d` admits a message from `sender` to `receiver`: the implied
+/// dependency holds in both directions (`→ ⊑ d(s, r)` and `← ⊑ d(r, s)`).
+fn admits(d: &DependencyFunction, sender: TaskId, receiver: TaskId) -> bool {
+    d.value(sender, receiver).admits_forward()
+        && DependencyValue::DependsOn.leq(d.value(receiver, sender))
+}
+
+/// The timing-feasible sender/receiver pairs of `message` that `d`
+/// admits, in [`Period::candidate_pairs`] order.
+pub(crate) fn admissible_pairs(
+    d: &DependencyFunction,
+    period: &Period,
+    message: &MessageWindow,
+) -> Vec<(TaskId, TaskId)> {
+    period
+        .candidate_pairs(message)
+        .into_iter()
+        .filter(|&(s, r)| admits(d, s, r))
+        .collect()
+}
+
+/// Reconstructs one injective witness assignment for every message of
+/// `period` under `d`, in message order: each message gets a
+/// timing-feasible pair that `d` admits, and no pair is used twice (at
+/// most one message per pair per period). `None` if there is none; the
+/// function then fails the strict matching function.
+///
+/// This is the existential witness inside `M`, found by augmenting paths
+/// (Kuhn's algorithm): each message in turn takes a free admissible pair
+/// or moves the holder of one to another pair along an alternating path.
+/// One message's search descends through each pair at most once, so the
+/// whole check costs O(messages × admissible message–pair edges).
 #[must_use]
-fn messages_explainable(d: &DependencyFunction, period: &Period) -> bool {
-    let candidate_sets: Vec<Vec<(TaskId, TaskId)>> = period
-        .messages()
+pub fn explain_period(d: &DependencyFunction, period: &Period) -> Option<Vec<Attribution>> {
+    let messages = period.messages();
+    let n = d.task_count();
+    // Each message's admissible pairs `(s, r)` as cells `s * n + r`.
+    let cells: Vec<Vec<usize>> = messages
         .iter()
         .map(|m| {
-            period
-                .candidate_pairs(m)
+            admissible_pairs(d, period, m)
                 .into_iter()
-                .filter(|&(s, r)| {
-                    d.value(s, r).admits_forward() && DependencyValue::DependsOn.leq(d.value(r, s))
-                })
+                .map(|(s, r)| s.index() * n + r.index())
                 .collect()
         })
         .collect();
-    // Backtracking assignment with the "distinct pairs" constraint.
-    fn assign(
-        sets: &[Vec<(TaskId, TaskId)>],
-        used: &mut Vec<(TaskId, TaskId)>,
-        index: usize,
-    ) -> bool {
-        if index == sets.len() {
+    // holder[cell]: the message currently assigned the pair.
+    let mut holder = vec![None; n * n];
+    let mut seen = vec![false; n * n];
+    for message in 0..messages.len() {
+        seen.fill(false);
+        if !augment(message, &cells, &mut holder, &mut seen) {
+            return None;
+        }
+    }
+    let mut witness = vec![None; messages.len()];
+    for (cell, holder) in holder.into_iter().enumerate() {
+        if let Some(i) = holder {
+            witness[i] = Some(Attribution {
+                message: messages[i].id,
+                sender: TaskId::from_index(cell / n),
+                receiver: TaskId::from_index(cell % n),
+            });
+        }
+    }
+    witness.into_iter().collect()
+}
+
+/// Finds `message` a pair: the first free one, else one not yet `seen` in
+/// this search whose holder can move on to another (an augmenting path).
+/// Taking a free pair first moves no other message, so a period that
+/// first-fit explains gets the first-fit witness.
+fn augment(
+    message: usize,
+    cells: &[Vec<usize>],
+    holder: &mut [Option<usize>],
+    seen: &mut [bool],
+) -> bool {
+    if let Some(&cell) = cells[message].iter().find(|&&cell| holder[cell].is_none()) {
+        holder[cell] = Some(message);
+        return true;
+    }
+    for &cell in &cells[message] {
+        if seen[cell] {
+            continue;
+        }
+        seen[cell] = true;
+        if holder[cell].is_some_and(|other| augment(other, cells, holder, seen)) {
+            holder[cell] = Some(message);
             return true;
         }
-        for &pair in &sets[index] {
-            if !used.contains(&pair) {
-                used.push(pair);
-                if assign(sets, used, index + 1) {
-                    return true;
-                }
-                used.pop();
-            }
-        }
-        false
     }
-    assign(&candidate_sets, &mut Vec::new(), 0)
+    false
 }
 
 /// The matching function `M(d, i)`: `d` matches `period` iff it is
-/// execution-consistent and every message is explainable (see the module
-/// docs).
+/// execution-consistent and every message is explained by an injective
+/// assignment of admissible pairs ([`explain_period`]).
 #[must_use]
 pub fn matches_period(d: &DependencyFunction, period: &Period) -> bool {
-    execution_consistent(d, period) && messages_explainable(d, period)
+    execution_consistent(d, period) && explain_period(d, period).is_some()
 }
 
 /// The relaxed matching function: execution consistency plus *per-message*
@@ -103,30 +162,11 @@ pub fn matches_period(d: &DependencyFunction, period: &Period) -> bool {
 pub fn matches_period_relaxed(d: &DependencyFunction, period: &Period) -> bool {
     execution_consistent(d, period)
         && period.messages().iter().all(|m| {
-            period.candidate_pairs(m).into_iter().any(|(s, r)| {
-                d.value(s, r).admits_forward() && DependencyValue::DependsOn.leq(d.value(r, s))
-            })
+            period
+                .candidate_pairs(m)
+                .into_iter()
+                .any(|(s, r)| admits(d, s, r))
         })
-}
-
-/// [`matches_period`] with instrumentation: emits one `match_check` event
-/// carrying the two sub-verdicts (execution consistency, message
-/// explainability), so validation sweeps leave an audit trail in the same
-/// stream as the learn run they check.
-#[must_use]
-pub fn matches_period_with<O: Observer + ?Sized>(
-    d: &DependencyFunction,
-    period: &Period,
-    observer: &mut O,
-) -> bool {
-    let consistent = execution_consistent(d, period);
-    let explained = consistent && messages_explainable(d, period);
-    observer.record(Event::MatchCheck {
-        period: period.index(),
-        consistent,
-        explained,
-    });
-    consistent && explained
 }
 
 /// `M(d, I)` for a whole trace: matches every period (paper's lifting of
@@ -134,59 +174,6 @@ pub fn matches_period_with<O: Observer + ?Sized>(
 #[must_use]
 pub fn matches_trace(d: &DependencyFunction, trace: &Trace) -> bool {
     trace.periods().iter().all(|p| matches_period(d, p))
-}
-
-/// [`matches_trace`] with instrumentation: checks *every* period (no
-/// short-circuit, so the event stream covers the whole trace) and emits a
-/// `match_check` event per period.
-#[must_use]
-pub fn matches_trace_with<O: Observer + ?Sized>(
-    d: &DependencyFunction,
-    trace: &Trace,
-    observer: &mut O,
-) -> bool {
-    // Not `.all(...)`: that would short-circuit on the first mismatch and
-    // truncate the event stream.
-    #[allow(clippy::unnecessary_fold)]
-    trace
-        .periods()
-        .iter()
-        .fold(true, |acc, p| matches_period_with(d, p, observer) && acc)
-}
-
-/// [`matches_trace`] with the per-period checks fanned out over the
-/// persistent [`WorkerPool`](crate::pool::WorkerPool) in contiguous
-/// period chunks. Each period's verdict is independent, so the result is
-/// identical to [`matches_trace`] at every thread count — parallelism
-/// only trades the sequential short-circuit for concurrency, which pays
-/// off on long traces whose periods each need a backtracking
-/// explainability search. `threads` is a request: it is clamped to the
-/// workers the pool can actually provision on this hardware.
-#[must_use]
-pub fn matches_trace_parallel(d: &DependencyFunction, trace: &Trace, threads: usize) -> bool {
-    let periods = trace.periods();
-    if threads <= 1 || periods.len() < 2 {
-        return matches_trace(d, trace);
-    }
-    let threads = crate::pool::WorkerPool::global().provision(threads);
-    if threads <= 1 {
-        return matches_trace(d, trace);
-    }
-    // Jobs on the persistent pool are `'static`: share the function via
-    // an `Arc`, hand each worker its own copy of a period chunk.
-    let shared = std::sync::Arc::new(d.clone());
-    let jobs: Vec<_> = crate::pool::chunk_ranges(threads, periods.len())
-        .into_iter()
-        .map(|range| {
-            let d = std::sync::Arc::clone(&shared);
-            let chunk: Vec<Period> = periods[range].to_vec();
-            move || chunk.iter().all(|p| matches_period(&d, p))
-        })
-        .collect();
-    crate::pool::WorkerPool::global()
-        .scatter(jobs)
-        .into_iter()
-        .all(|ok| ok)
 }
 
 /// Relaxed [`matches_trace`]; see [`matches_period_relaxed`].
@@ -198,7 +185,7 @@ pub fn matches_trace_relaxed(d: &DependencyFunction, trace: &Trace) -> bool {
 #[cfg(test)]
 mod tests {
     use bbmg_lattice::{DependencyValue as V, TaskUniverse};
-    use bbmg_trace::{Timestamp, TraceBuilder};
+    use bbmg_trace::{EventKind, Timestamp, TraceBuilder};
 
     use super::*;
 
@@ -301,6 +288,47 @@ mod tests {
         let trace = builder.finish();
         let d = DependencyFunction::top(2);
         assert!(!matches_period(&d, &trace.periods()[0]));
+    }
+
+    #[test]
+    fn an_earlier_message_moves_to_free_a_later_ones_only_pair() {
+        // m0 can be a -> b or a -> c, m1 only a -> b (c starts before m1
+        // falls and ends after it rises): first fit gives m0 a -> b and
+        // strands m1, so the matcher must move m0 to a -> c.
+        let u = TaskUniverse::from_names(["a", "b", "c"]);
+        let mut builder = TraceBuilder::new(u);
+        builder.begin_period();
+        builder
+            .task(t(0), Timestamp::new(0), Timestamp::new(10))
+            .unwrap();
+        builder
+            .message(Timestamp::new(12), Timestamp::new(14))
+            .unwrap();
+        builder
+            .event(Timestamp::new(15), EventKind::TaskStart(t(2)))
+            .unwrap();
+        builder
+            .message(Timestamp::new(21), Timestamp::new(23))
+            .unwrap();
+        builder
+            .task(t(1), Timestamp::new(25), Timestamp::new(35))
+            .unwrap();
+        builder
+            .event(Timestamp::new(40), EventKind::TaskEnd(t(2)))
+            .unwrap();
+        builder.end_period().unwrap();
+        let trace = builder.finish();
+        let period = &trace.periods()[0];
+        let mut d = DependencyFunction::bottom(3);
+        d.record_message(t(0), t(1));
+        d.record_message(t(0), t(2));
+        let witness: Vec<_> = explain_period(&d, period)
+            .expect("m0 takes a -> c, m1 a -> b")
+            .iter()
+            .map(|a| (a.sender, a.receiver))
+            .collect();
+        assert_eq!(witness, [(t(0), t(2)), (t(0), t(1))]);
+        assert!(matches_period(&d, period));
     }
 
     #[test]

@@ -2,16 +2,18 @@
 //!
 //! A dependency function is an opaque summary; engineers reviewing a
 //! learned model (e.g. the paper's Q–O discovery) want the concrete
-//! message attribution behind it. [`explain_period`] reconstructs one
-//! injective assignment of the period's messages to timing-feasible
-//! sender/receiver pairs admitted by the function — the existential
-//! witness inside the matching function `M` — and
+//! message attribution behind it. [`explain_period`](crate::explain_period)
+//! reconstructs one injective assignment of the period's messages to
+//! timing-feasible sender/receiver pairs admitted by the function — the
+//! existential witness inside the matching function `M` — and
 //! [`explain_pair`] lists each period's message that can only be
 //! attributed in a way involving the given pair, i.e. the direct evidence
 //! for a learned dependency.
 
-use bbmg_lattice::{DependencyFunction, DependencyValue, TaskId};
-use bbmg_trace::{MessageId, Period, Trace};
+use bbmg_lattice::{DependencyFunction, TaskId};
+use bbmg_trace::{MessageId, Trace};
+
+use crate::matching::admissible_pairs;
 
 /// One message attribution: this message was (assumed to be) sent by
 /// `sender` to `receiver`.
@@ -23,64 +25,6 @@ pub struct Attribution {
     pub sender: TaskId,
     /// Assumed receiver.
     pub receiver: TaskId,
-}
-
-/// Admissible pairs of `message` under `d`: timing-feasible and with the
-/// dependency admitted in both directions.
-fn admissible(
-    d: &DependencyFunction,
-    period: &Period,
-    message: &bbmg_trace::MessageWindow,
-) -> Vec<(TaskId, TaskId)> {
-    period
-        .candidate_pairs(message)
-        .into_iter()
-        .filter(|&(s, r)| {
-            d.value(s, r).admits_forward() && DependencyValue::DependsOn.leq(d.value(r, s))
-        })
-        .collect()
-}
-
-/// Reconstructs one injective witness assignment for every message of
-/// `period` under `d`, or `None` if the function cannot explain the period
-/// (it then fails the strict matching function).
-#[must_use]
-pub fn explain_period(d: &DependencyFunction, period: &Period) -> Option<Vec<Attribution>> {
-    let sets: Vec<(MessageId, Vec<(TaskId, TaskId)>)> = period
-        .messages()
-        .iter()
-        .map(|m| (m.id, admissible(d, period, m)))
-        .collect();
-
-    fn assign(
-        sets: &[(MessageId, Vec<(TaskId, TaskId)>)],
-        used: &mut Vec<(TaskId, TaskId)>,
-        acc: &mut Vec<Attribution>,
-    ) -> bool {
-        let Some(((message, candidates), rest)) = sets.split_first() else {
-            return true;
-        };
-        for &(sender, receiver) in candidates {
-            if used.contains(&(sender, receiver)) {
-                continue;
-            }
-            used.push((sender, receiver));
-            acc.push(Attribution {
-                message: *message,
-                sender,
-                receiver,
-            });
-            if assign(rest, used, acc) {
-                return true;
-            }
-            used.pop();
-            acc.pop();
-        }
-        false
-    }
-
-    let mut acc = Vec::with_capacity(sets.len());
-    assign(&sets, &mut Vec::new(), &mut acc).then_some(acc)
 }
 
 /// The evidence for the dependency `(sender, receiver)` across `trace`:
@@ -100,7 +44,7 @@ pub fn explain_pair(
     let mut supporting = Vec::new();
     for period in trace.periods() {
         for message in period.messages() {
-            let admitted = admissible(d, period, message);
+            let admitted = admissible_pairs(d, period, message);
             if !admitted.contains(&(sender, receiver)) {
                 continue;
             }
@@ -125,7 +69,7 @@ mod tests {
     use bbmg_trace::{Timestamp, Trace, TraceBuilder};
 
     use super::*;
-    use crate::{learn, LearnOptions};
+    use crate::{explain_period, learn, LearnOptions};
 
     fn t(i: usize) -> TaskId {
         TaskId::from_index(i)

@@ -102,9 +102,6 @@ pub fn chrome_trace(events: &[TimedEvent]) -> String {
                 instant(ts, "fault", &[("period", *period as u64)])
             }
             Event::Fallback { bound } => instant(ts, "fallback", &[("bound", *bound as u64)]),
-            Event::MatchCheck { period, .. } => {
-                instant(ts, "match_check", &[("period", *period as u64)])
-            }
             Event::Convergence {
                 period,
                 hypotheses,

@@ -94,15 +94,6 @@ pub enum Event {
         /// Bound of the replacement heuristic.
         bound: usize,
     },
-    /// A declarative matching check ran (negative examples, validation).
-    MatchCheck {
-        /// Period index.
-        period: usize,
-        /// Whether the hypothesis was execution-consistent.
-        consistent: bool,
-        /// Whether every message was explainable.
-        explained: bool,
-    },
     /// Convergence-timeline sample (paper §4): distance from the
     /// hypothesis set after this period to the final learned model.
     Convergence {
@@ -187,7 +178,6 @@ impl Event {
             Event::RepairAction { .. } => "repair_action",
             Event::FaultInjected { .. } => "fault_injected",
             Event::Fallback { .. } => "fallback",
-            Event::MatchCheck { .. } => "match_check",
             Event::Convergence { .. } => "convergence",
             Event::Note { .. } => "note",
             Event::Checkpoint { .. } => "checkpoint",
@@ -210,7 +200,6 @@ impl Event {
             | Event::Quarantine { period, .. }
             | Event::RepairAction { period, .. }
             | Event::FaultInjected { period, .. }
-            | Event::MatchCheck { period, .. }
             | Event::Convergence { period, .. }
             | Event::Checkpoint { period, .. } => Some(*period),
             Event::BudgetTick { .. }
@@ -297,16 +286,6 @@ impl Event {
             }
             Event::Fallback { bound } => {
                 field_u(&mut out, "bound", *bound as u64);
-            }
-            Event::MatchCheck {
-                period,
-                consistent,
-                explained,
-            } => {
-                field_u(&mut out, "period", *period as u64);
-                out.push_str(&format!(
-                    ",\"consistent\":{consistent},\"explained\":{explained}"
-                ));
             }
             Event::Convergence {
                 period,
@@ -461,11 +440,6 @@ mod tests {
                 kind: "dropped_event".into(),
             },
             Event::Fallback { bound: 64 },
-            Event::MatchCheck {
-                period: 4,
-                consistent: true,
-                explained: false,
-            },
             Event::Convergence {
                 period: 5,
                 hypotheses: 2,

@@ -438,8 +438,7 @@ impl Observer for Metrics {
             Event::RepairAction { .. } => self.repairs += 1,
             Event::FaultInjected { .. } => self.faults += 1,
             Event::Fallback { .. } => self.fallbacks += 1,
-            Event::MatchCheck { .. }
-            | Event::Convergence { .. }
+            Event::Convergence { .. }
             | Event::Note { .. }
             // Checkpoint/shard lifecycle and span events flow to the JSONL
             // and Chrome sinks; the snapshot schema does not count them.

@@ -19,7 +19,7 @@
 //! workers with `ensure_workers` first (results must be identical either
 //! way; forcing merely makes the assertion non-vacuous).
 
-use bbmg::core::{learn, learn_with, matches_trace, matches_trace_parallel, Budget, LearnOptions};
+use bbmg::core::{learn, learn_with, Budget, LearnOptions};
 use bbmg::lattice::TaskId;
 use bbmg::obs::{Event, Metrics, MetricsSnapshot, Recorder, Summary, Tee};
 use bbmg::trace::{EventKind, Timestamp, Trace, TraceBuilder};
@@ -312,27 +312,5 @@ fn budget_trips_at_the_same_step_at_any_thread_count() {
         let run = instrumented_run(&trace, options.with_parallelism(threads));
         assert_eq!(baseline.0, run.0, "error differs at {threads} threads");
         assert_eq!(baseline.2, run.2, "events differ at {threads} threads");
-    }
-}
-
-#[test]
-fn parallel_matching_agrees_with_sequential() {
-    let trace = gm::gm_trace(7).expect("simulation succeeds").trace;
-    let result = learn(&trace, LearnOptions::bounded(32)).unwrap();
-    let lub = result.lub().unwrap();
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            matches_trace_parallel(&lub, &trace, threads),
-            matches_trace(&lub, &trace),
-            "matching verdict differs at {threads} threads"
-        );
-    }
-    // A function that does not match must not match at any thread count.
-    let bottom = bbmg::lattice::DependencyFunction::bottom(trace.task_count());
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            matches_trace_parallel(&bottom, &trace, threads),
-            matches_trace(&bottom, &trace),
-        );
     }
 }

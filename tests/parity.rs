@@ -450,10 +450,13 @@ fn entry_points_agree_under_a_step_budget() {
             })
             .expect("skip policy never aborts");
         assert!(!complete, "{steps} steps: the budget stops the run");
-        same("checkpointed run", &learner.finish());
         assert_eq!(saved.len(), trace.periods().len() - unprocessed + 1);
-        for (split, json) in saved.iter().enumerate() {
+        // The checkpoint saved after the stop resumes at the stopping period.
+        saved.push(learner.checkpoint().to_json());
+        same("checkpointed run", &learner.finish());
+        for (i, json) in saved.iter().enumerate() {
             let checkpoint = Checkpoint::parse_json(json).expect("checkpoint round-trips");
+            let split = checkpoint.pushed_periods;
             let mut resumed = IncrementalLearner::resume(checkpoint).expect("checkpoint resumes");
             resumed
                 .drive(
@@ -462,7 +465,10 @@ fn entry_points_agree_under_a_step_budget() {
                     |_, _, _, _| Ok::<_, LearnError>(()),
                 )
                 .expect("skip policy never aborts");
-            same(&format!("resume at {split}"), &resumed.finish());
+            same(
+                &format!("checkpoint {i} resumed at {split}"),
+                &resumed.finish(),
+            );
         }
 
         let _ = std::fs::remove_dir_all(&dir);
