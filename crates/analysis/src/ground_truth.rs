@@ -1,66 +1,16 @@
-//! Exhaustive traces and reference dependency functions.
+//! The reference dependency function of a known design model.
 //!
 //! The paper evaluates its learner by checking that "the deduced system
 //! model accurately reflects dependencies between tasks in the original
-//! design". With a known [`DesignModel`] we can do that rigorously: emit
-//! one canonical period per enumerated behaviour (an *exhaustive* trace),
-//! run the exact learner over it, and take the least upper bound as the
-//! reference dependency function. Any trace produced by any scheduler is a
-//! sub-behaviour of the exhaustive trace, so learned results should be
-//! more specific than (or equal to) the reference (paper footnote 3).
+//! design". With a known [`DesignModel`] we can do that rigorously:
+//! [`semantic_ground_truth`] derives the reference from the model's
+//! structure and behaviours. The tests also learn it back from an
+//! *exhaustive* trace (one canonical period per enumerated behaviour) and
+//! check that the learned reference never contradicts the semantic one
+//! (paper footnote 3).
 
-use bbmg_core::{learn, LearnError, LearnOptions};
 use bbmg_lattice::{DependencyFunction, DependencyValue, TaskId};
-use bbmg_moc::{append_canonical_period, CanonicalTiming, DesignModel};
-use bbmg_trace::{Timestamp, Trace, TraceBuilder};
-
-/// Emits one canonical sequential period per enumerated behaviour of
-/// `model` — a trace exhibiting *all* allowable behaviour.
-///
-/// # Panics
-///
-/// Panics if behaviour enumeration exceeds the default limit or canonical
-/// scheduling fails (neither occurs for valid models of sane size).
-#[must_use]
-pub fn exhaustive_trace(model: &DesignModel) -> Trace {
-    let mut builder = TraceBuilder::new(model.universe().clone());
-    let mut clock = Timestamp::ZERO;
-    for behavior in model.enumerate_behaviors() {
-        builder.begin_period();
-        clock = append_canonical_period(
-            model,
-            &behavior,
-            CanonicalTiming::default(),
-            &mut builder,
-            clock,
-        )
-        .expect("canonical periods are valid");
-        builder
-            .end_period()
-            .expect("canonical periods are balanced");
-        clock = clock + 10;
-    }
-    builder.finish()
-}
-
-/// The learner-based reference: the least upper bound of the exact
-/// learner's most-specific hypotheses on the exhaustive trace.
-///
-/// This is what a *perfect observation campaign* can learn. It may be more
-/// general than [`semantic_ground_truth`] on pairs where message
-/// attribution stays ambiguous even with every behaviour observed — that
-/// residual ambiguity is intrinsic to bus-level observation, not a learner
-/// defect.
-///
-/// # Errors
-///
-/// Propagates [`LearnError`] from the exact learner (does not occur for
-/// valid models).
-pub fn learned_reference(model: &DesignModel) -> Result<DependencyFunction, LearnError> {
-    let trace = exhaustive_trace(model);
-    let result = learn(&trace, LearnOptions::exact())?;
-    Ok(result.lub().expect("nonempty hypothesis set"))
-}
+use bbmg_moc::DesignModel;
 
 /// The semantic ground truth of `model`, derived from its structure and
 /// behaviour rather than from traces.
@@ -124,10 +74,42 @@ pub fn semantic_ground_truth(model: &DesignModel) -> DependencyFunction {
 
 #[cfg(test)]
 mod tests {
+    use bbmg_core::{learn, LearnOptions};
     use bbmg_lattice::{DependencyValue, TaskId, TaskUniverse};
-    use bbmg_moc::DesignModel;
+    use bbmg_moc::{append_canonical_period, CanonicalTiming, DesignModel};
+    use bbmg_trace::{Timestamp, Trace, TraceBuilder};
 
     use super::*;
+
+    /// One canonical sequential period per enumerated behaviour of
+    /// `model`: a trace exhibiting all allowable behaviour.
+    fn exhaustive_trace(model: &DesignModel) -> Trace {
+        let mut builder = TraceBuilder::new(model.universe().clone());
+        let mut clock = Timestamp::ZERO;
+        for behavior in model.enumerate_behaviors() {
+            builder.begin_period();
+            clock = append_canonical_period(
+                model,
+                &behavior,
+                CanonicalTiming::default(),
+                &mut builder,
+                clock,
+            )
+            .unwrap();
+            builder.end_period().unwrap();
+            clock = clock + 10;
+        }
+        builder.finish()
+    }
+
+    /// The LUB of the exact learner's hypotheses on the exhaustive trace:
+    /// what a perfect observation campaign can learn. It may be more
+    /// general than [`semantic_ground_truth`] where message attribution
+    /// stays ambiguous even with every behaviour observed.
+    fn learned_reference(model: &DesignModel) -> DependencyFunction {
+        let result = learn(&exhaustive_trace(model), LearnOptions::exact()).unwrap();
+        result.lub().unwrap()
+    }
 
     fn t(i: usize) -> TaskId {
         TaskId::from_index(i)
@@ -178,7 +160,7 @@ mod tests {
             .unwrap();
         // A deterministic chain is unambiguous: both references coincide.
         let semantic = semantic_ground_truth(&model);
-        let learned = learned_reference(&model).unwrap();
+        let learned = learned_reference(&model);
         assert_eq!(semantic, learned);
         assert_eq!(semantic.value(t(0), t(1)), DependencyValue::Determines);
         assert_eq!(semantic.value(t(1), t(2)), DependencyValue::Determines);
@@ -191,7 +173,7 @@ mod tests {
         // reference more general, never contradictory.
         let model = figure_1();
         let semantic = semantic_ground_truth(&model);
-        let learned = learned_reference(&model).unwrap();
+        let learned = learned_reference(&model);
         assert!(semantic.leq(&learned));
     }
 }

@@ -17,20 +17,16 @@
 //!   per-period execution states with and without the learned
 //!   must-dependencies, demonstrating the paper's state-space-reduction
 //!   claim for model checking.
-//! * [`coverage`] — trace-coverage measurement against a known model (the
-//!   paper's exhaustiveness assumption, quantified; black-box convergence
-//!   timelines are `bbmg_core::convergence_timeline`).
 //! * [`depgraph`] — rendering a learned [`DependencyFunction`] as the
 //!   paper's Figure 4/5 dependency-graph style (DOT).
-//! * [`ground_truth`] — exhaustive traces and the reference dependency
-//!   function of a known design model, for accuracy evaluation.
+//! * [`ground_truth`] — the reference dependency function of a known
+//!   design model, for accuracy evaluation.
 //!
 //! [`DependencyFunction`]: bbmg_lattice::DependencyFunction
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coverage;
 pub mod depgraph;
 pub mod ground_truth;
 pub mod latency;

@@ -12,10 +12,12 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-use bbmg_core::{payload_checksum, Checkpoint, CheckpointError, IncrementalLearner, LearnError};
+use bbmg_core::{
+    unseal, Checkpoint, CheckpointError, IncrementalLearner, LearnError, CORPUS_SCHEMA,
+};
 use bbmg_lattice::invariant::{self, AntichainViolation};
 use bbmg_lattice::FunctionDecodeError;
-use bbmg_obs::json::{self, Json};
+use bbmg_obs::json::{self, FieldError};
 use bbmg_obs::{MetricsParseError, MetricsSnapshot, NoopObserver};
 use bbmg_serve::{HealthParseError, HealthSnapshot, Roster, RosterError};
 use bbmg_trace::{parse_btrace, ParseBtraceError, Trace};
@@ -297,120 +299,74 @@ pub(crate) struct CorpusHit {
     pub(crate) fingerprint: u64,
 }
 
-/// Reads a `u64` field or records [`codes::CORPUS_MALFORMED`].
-fn corpus_u64(
-    artifact: &str,
-    node: &Json,
-    key: &str,
-    at: &str,
-    out: &mut Vec<Diagnostic>,
-) -> Option<u64> {
-    match node.get(key).and_then(Json::as_u64) {
-        Some(v) => Some(v),
-        None => {
-            out.push(
-                error(
-                    &codes::CORPUS_MALFORMED,
-                    artifact,
-                    format!("`{key}` is missing or not an unsigned integer"),
-                )
-                .at(at),
-            );
-            None
-        }
-    }
-}
-
-/// Corpus report deep-verify: seal recomputation, shape, and counter
-/// consistency. Returns the cache-hit rows for cross-document fingerprint
-/// resolution.
+/// Corpus report deep-verify: the seal, the strict shape of the payload
+/// and its rows, and counter consistency. Returns the cache-hit rows for
+/// cross-document fingerprint resolution.
 pub(crate) fn audit_corpus(
     artifact: &str,
     text: &str,
     out: &mut Vec<Diagnostic>,
 ) -> Option<Vec<CorpusHit>> {
+    read_corpus(artifact, text, out)
+        .map_err(|finding| out.push(finding))
+        .ok()
+}
+
+fn read_corpus(
+    artifact: &str,
+    text: &str,
+    out: &mut Vec<Diagnostic>,
+) -> Result<Vec<CorpusHit>, Diagnostic> {
     let malformed = |message: String| error(&codes::CORPUS_MALFORMED, artifact, message);
-
-    // Seal: the checksum covers the exact payload bytes, so recompute it
-    // over the raw substring rather than a re-encode.
-    let root = json::parse(text).ok()?;
-    let marker = "\"payload\":";
-    let Some(start) = text.find(marker).map(|i| i + marker.len()) else {
-        out.push(malformed("document has no `payload` member".into()));
-        return None;
-    };
-    let trimmed = text.trim_end();
-    let payload_bytes = &trimmed.as_bytes()[start..trimmed.len() - 1];
-    // Only the writer's spelling counts: `from_str_radix` alone would
-    // read a case-flipped digit (`A` for `a`) as the same sum.
-    let stored = root.get("checksum").and_then(Json::as_str).and_then(|s| {
-        u64::from_str_radix(s, 16)
-            .ok()
-            .filter(|sum| format!("{sum:016x}") == s)
-    });
-    let Some(stored) = stored else {
-        out.push(malformed(
-            "`checksum` is not a 16-digit lower-case hex string".into(),
-        ));
-        return None;
-    };
-    let computed = payload_checksum(payload_bytes);
-    if stored != computed {
-        out.push(malformed(format!(
-            "checksum mismatch: header says {stored:016x}, payload hashes to {computed:016x}"
-        )));
-        return None;
-    }
-
-    let Some(payload) = root.get("payload") else {
-        out.push(malformed("document has no `payload` member".into()));
-        return None;
-    };
-    let traces = corpus_u64(artifact, payload, "traces", "payload", out)?;
-    let full = corpus_u64(artifact, payload, "cache_full_hits", "payload", out)?;
-    let prefix = corpus_u64(artifact, payload, "cache_prefix_hits", "payload", out)?;
-    let misses = corpus_u64(artifact, payload, "cache_misses", "payload", out)?;
-    corpus_u64(artifact, payload, "elapsed_micros", "payload", out)?;
-    corpus_u64(artifact, payload, "threads", "payload", out)?;
-    let dedup_ratio = payload.get("dedup_ratio").and_then(Json::as_f64);
-    let (Some(dedup_ratio), Some(_)) = (
-        dedup_ratio,
-        payload.get("traces_per_sec").and_then(Json::as_f64),
-    ) else {
-        out.push(malformed(
-            "`dedup_ratio` / `traces_per_sec` are missing or not numbers".into(),
-        ));
-        return None;
-    };
-    let Some(Json::Array(entries)) = payload.get("entries") else {
-        out.push(malformed("`entries` is missing or not an array".into()));
-        return None;
-    };
+    let root = json::parse(text).map_err(|err| malformed(err.to_string()))?;
+    let payload = unseal(text, &root, CORPUS_SCHEMA).map_err(|err| {
+        malformed(match err {
+            CheckpointError::ChecksumMismatch { stored, actual } => format!(
+                "checksum mismatch: header says {stored:016x}, payload hashes to {actual:016x}"
+            ),
+            CheckpointError::Malformed { message, .. } => message,
+            other => other.to_string(),
+        })
+    })?;
+    let at = |e: FieldError| malformed(e.to_string()).at("payload");
+    #[rustfmt::skip]
+    let [
+        traces, full, prefix, misses, dedup_ratio, elapsed_micros, traces_per_sec, threads, entries,
+    ] = json::fields(payload, [
+        "traces", "cache_full_hits", "cache_prefix_hits", "cache_misses", "dedup_ratio",
+        "elapsed_micros", "traces_per_sec", "threads", "entries",
+    ]).map_err(at)?;
+    let traces = traces.u64().map_err(at)?;
+    let full = full.u64().map_err(at)?;
+    let prefix = prefix.u64().map_err(at)?;
+    let misses = misses.u64().map_err(at)?;
+    let dedup_ratio = dedup_ratio.f64().map_err(at)?;
+    elapsed_micros.u64().map_err(at)?;
+    traces_per_sec.f64().map_err(at)?;
+    threads.u64().map_err(at)?;
+    let entries = entries.array().map_err(at)?;
+    let rows = entries.len();
 
     let mut hits = Vec::new();
-    for (index, entry) in entries.iter().enumerate() {
-        let at = format!("payload.entries[{index}]");
-        let file = entry.get("file").and_then(Json::as_str);
-        let hit = entry.get("hit").and_then(Json::as_str);
-        let fingerprint = entry
-            .get("model_fingerprint")
-            .and_then(Json::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok().filter(|_| s.len() == 16));
-        let tasks = corpus_u64(artifact, entry, "tasks", &at, out)?;
-        let periods = corpus_u64(artifact, entry, "periods", &at, out)?;
-        let seeded = corpus_u64(artifact, entry, "seeded_periods", &at, out)?;
-        corpus_u64(artifact, entry, "hypotheses", &at, out)?;
-        let converged = matches!(entry.get("converged"), Some(Json::Bool(_)));
-        let (Some(file), Some(hit), Some(fingerprint), true) = (file, hit, fingerprint, converged)
-        else {
-            out.push(
-                malformed("entry is missing file/hit/model_fingerprint/converged".into()).at(at),
-            );
-            return None;
-        };
+    for (index, entry) in entries.enumerate() {
+        let location = format!("payload.entries[{index}]");
+        let at = |e: FieldError| malformed(e.to_string()).at(&location);
+        #[rustfmt::skip]
+        let [file, tasks, periods, hit, seeded, fingerprint, hypotheses, converged] = entry.object([
+            "file", "tasks", "periods", "hit", "seeded_periods", "model_fingerprint", "hypotheses",
+            "converged",
+        ]).map_err(at)?;
+        let file = file.str().map_err(at)?;
+        let tasks = tasks.u64().map_err(at)?;
+        let periods = periods.u64().map_err(at)?;
+        let hit = hit.str().map_err(at)?;
+        let seeded = seeded.u64().map_err(at)?;
+        let fingerprint = fingerprint.hex().map_err(at)?;
+        hypotheses.u64().map_err(at)?;
+        converged.bool().map_err(at)?;
         if !matches!(hit, "full" | "prefix" | "miss") {
-            out.push(malformed(format!("`hit` is `{hit}`, not full/prefix/miss")).at(at));
-            return None;
+            let message = format!("`hit` is `{hit}`, not full/prefix/miss");
+            return Err(malformed(message).at(location));
         }
         if tasks == 0 || seeded > periods {
             out.push(
@@ -420,7 +376,7 @@ pub(crate) fn audit_corpus(
                     artifact,
                     format!("{tasks} task(s), {seeded} of {periods} period(s) seeded"),
                 )
-                .at(at),
+                .at(location),
             );
         }
         if hit != "miss" {
@@ -433,15 +389,14 @@ pub(crate) fn audit_corpus(
     }
 
     // Counter consistency: the aggregates must describe the entry rows.
-    if full + prefix + misses != traces || entries.len() as u64 != traces {
+    if full + prefix + misses != traces || rows as u64 != traces {
         out.push(
             warning(
                 &codes::CORPUS_BOOKKEEPING,
                 artifact,
                 format!(
                     "{traces} trace(s) claimed, but {full} full + {prefix} prefix + {misses} \
-                     miss over {} entry row(s)",
-                    entries.len()
+                     miss over {rows} entry row(s)"
                 ),
             )
             .at("payload"),
@@ -461,7 +416,7 @@ pub(crate) fn audit_corpus(
             );
         }
     }
-    Some(hits)
+    Ok(hits)
 }
 
 /// Cross-document pass over one corpus report: every cache-hit row must

@@ -16,8 +16,8 @@ use std::path::PathBuf;
 
 use bbmg_audit::{audit_paths, AuditOptions, AuditReport};
 use bbmg_core::{
-    learn_with, payload_checksum, seal_document, Checkpoint, IncrementalLearner, LearnOptions,
-    OnInconsistent, CORPUS_SCHEMA,
+    learn_with, seal, Checkpoint, IncrementalLearner, LearnOptions, OnInconsistent,
+    CHECKPOINT_SCHEMA, CORPUS_SCHEMA,
 };
 use bbmg_lattice::DependencyFunction;
 use bbmg_obs::{Metrics, MetricsSnapshot, NoopObserver};
@@ -45,13 +45,18 @@ fn base_doc() -> String {
     format!("{}\n", base_checkpoint().to_json())
 }
 
-/// Re-seals a hand-mutated document with a fresh checksum, so the
+/// Re-seals a hand-mutated checkpoint with a fresh checksum, so the
 /// mutation survives past the checksum gate to the deeper passes.
 fn reseal(doc: &str) -> String {
+    reseal_as(CHECKPOINT_SCHEMA, doc)
+}
+
+/// Re-seals a hand-mutated document of `schema` (see [`reseal`]).
+fn reseal_as(schema: &str, doc: &str) -> String {
     let marker = "\"payload\":";
     let start = doc.find(marker).expect("payload marker") + marker.len();
     let trimmed = doc.trim_end();
-    format!("{}\n", seal_document(&trimmed[start..trimmed.len() - 1]))
+    format!("{}\n", seal(schema, &trimmed[start..trimmed.len() - 1]))
 }
 
 /// Writes `bytes` at `rel` (a name with extension, optionally under a
@@ -274,10 +279,7 @@ fn corpus_doc(counts: (usize, usize, usize, usize), dedup: f64, entry: &str) -> 
          \"cache_misses\":{misses},\"dedup_ratio\":{dedup:.6},\"elapsed_micros\":10,\
          \"traces_per_sec\":1.000,\"threads\":1,\"entries\":[{entry}]}}"
     );
-    format!(
-        "{{\"schema\":\"{CORPUS_SCHEMA}\",\"checksum\":\"{:016x}\",\"payload\":{payload}}}\n",
-        payload_checksum(payload.as_bytes())
-    )
+    format!("{}\n", seal(CORPUS_SCHEMA, &payload))
 }
 
 /// One report row claiming `hit` with model fingerprint `fp`.
@@ -395,6 +397,197 @@ fn unresolvable_corpus_hit_is_detected() {
     audit_file("corpus-unresolved/model.ckpt", base_doc().as_bytes());
     let report = audit_file("corpus-unresolved/report.json", doc.as_bytes());
     assert_eq!(codes(&report), ["BBMG072"], "{:?}", report.diagnostics);
+}
+
+/// The first `"key":value` member of `doc`, as written.
+fn member<'a>(doc: &'a str, key: &str) -> &'a str {
+    let start = doc.find(&format!("\"{key}\":")).expect("key present");
+    let len = doc[start..].find([',', '}']).expect("member ends");
+    &doc[start..start + len]
+}
+
+/// One strict decoder in the cross-decoder table: the writer's own
+/// document, the adjacent members the edits touch, and how to decode.
+struct StrictCase {
+    name: &'static str,
+    doc: String,
+    /// Re-stamp the envelope's checksum after each edit, so the edit
+    /// reaches the reader behind it.
+    sealed: Option<&'static str>,
+    /// A u64 member and the member written right after it.
+    keys: (&'static str, &'static str),
+    /// A member holding 16 hex digits, if the schema has one.
+    hex: Option<&'static str>,
+    /// Audited under this file name, the lead code a refusal carries.
+    file: &'static str,
+    code: &'static str,
+    accepts: fn(&str) -> bool,
+}
+
+/// Every strict decoder refuses the same six edits of its writer's own
+/// document, with a typed error and, through the audit, a BBMG code:
+/// two adjacent members swapped, a key renamed, dropped or duplicated, a
+/// hex digit upper-cased, and `1e30` in a u64 member.
+#[test]
+fn strict_decoders_refuse_what_no_writer_produces() {
+    let mut checkpoint = base_checkpoint();
+    checkpoint.elapsed = std::time::Duration::ZERO;
+    let mut roster = Roster::new();
+    roster.record(RosterEntry {
+        source: "bus0".into(),
+        checkpoint: "bus0.ckpt".into(),
+        restarts: 1,
+        periods: 40,
+        state: "exact".into(),
+    });
+    let health = HealthSnapshot {
+        seq: 3,
+        uptime_us: 1_973,
+        lines: 12,
+        shards: Vec::new(),
+    };
+    let mut metrics = Metrics::new();
+    learn_with(
+        &simple::figure_2_trace(),
+        LearnOptions::exact(),
+        &mut metrics,
+    )
+    .expect("clean");
+    let entries = corpus_entry("miss", 0x6858_1e27_390c_d966);
+    let cases = [
+        StrictCase {
+            name: "checkpoint",
+            doc: format!("{}\n", checkpoint.to_json()),
+            sealed: Some(CHECKPOINT_SCHEMA),
+            keys: ("tasks", "pushed_periods"),
+            hex: Some("checksum"),
+            file: "strict/state.ckpt",
+            code: "BBMG011",
+            accepts: |text| Checkpoint::parse_json(text).is_ok(),
+        },
+        StrictCase {
+            name: "roster",
+            doc: format!("{}\n", roster.to_json()),
+            sealed: None,
+            keys: ("restarts", "periods"),
+            hex: None,
+            file: "strict/roster.json",
+            code: "BBMG011",
+            accepts: |text| Roster::parse_json(text).is_ok(),
+        },
+        StrictCase {
+            name: "health",
+            doc: health.to_json(),
+            sealed: None,
+            keys: ("seq", "uptime_us"),
+            hex: None,
+            file: "strict/health.json",
+            code: "BBMG011",
+            accepts: |text| HealthSnapshot::parse_json(text).is_ok(),
+        },
+        StrictCase {
+            name: "metrics",
+            doc: metrics.snapshot().to_json(),
+            sealed: None,
+            keys: ("periods", "messages"),
+            hex: None,
+            file: "strict/metrics.json",
+            code: "BBMG011",
+            accepts: |text| MetricsSnapshot::parse_json(text).is_ok(),
+        },
+        StrictCase {
+            name: "corpus report",
+            doc: corpus_doc((1, 0, 0, 1), 0.0, &entries),
+            sealed: Some(CORPUS_SCHEMA),
+            keys: ("traces", "cache_full_hits"),
+            hex: Some("model_fingerprint"),
+            file: "strict-corpus/report.json",
+            code: "BBMG070",
+            accepts: |text| audit_file("strict-corpus/report.json", text.as_bytes()).is_clean(true),
+        },
+        StrictCase {
+            name: "bench artifact",
+            doc: BENCH_ARTIFACTS[0].1.to_owned(),
+            sealed: None,
+            keys: ("cpu_threads", "iterations"),
+            hex: None,
+            file: "strict-bench/BENCH_learner.json",
+            code: "BBMG011",
+            accepts: |text| {
+                bbmg_obs::json::parse(text).is_ok_and(|doc| bbmg_bench::rules::check(&doc).is_ok())
+            },
+        },
+    ];
+    for case in cases {
+        assert!(
+            (case.accepts)(&case.doc),
+            "{}: the writer's document",
+            case.name
+        );
+        let field = member(&case.doc, case.keys.0);
+        let next = member(&case.doc, case.keys.1);
+        let pair = format!("{field},{next}");
+        assert!(
+            case.doc.contains(&pair),
+            "{}: {pair} are adjacent",
+            case.name
+        );
+        let key = &field[..field.find(':').expect("a member")];
+        let renamed = format!("{}_x\"", &key[..key.len() - 1]);
+        let mut edits = vec![
+            (
+                "swap",
+                case.doc.replacen(&pair, &format!("{next},{field}"), 1),
+            ),
+            ("rename", case.doc.replacen(key, &renamed, 1)),
+            ("drop", case.doc.replacen(&format!("{field},"), "", 1)),
+            (
+                "duplicate",
+                case.doc.replacen(field, &pair.replacen(next, field, 1), 1),
+            ),
+            ("1e30", case.doc.replacen(field, &format!("{key}:1e30"), 1)),
+        ];
+        if let Some(schema) = case.sealed {
+            for (_, edited) in &mut edits {
+                *edited = reseal_as(schema, edited);
+            }
+        }
+        if let Some(hex) = case.hex {
+            let member = member(&case.doc, hex);
+            let (key, digits) = member.split_at(hex.len() + 3);
+            assert!(
+                digits.contains(char::is_lowercase),
+                "{}: a hex letter",
+                case.name
+            );
+            let upper = case
+                .doc
+                .replacen(member, &(key.to_owned() + &digits.to_uppercase()), 1);
+            // An upper-cased payload digit is resealed; the checksum's own
+            // digits are the seal.
+            let upper = match case.sealed {
+                Some(schema) if hex != "checksum" => reseal_as(schema, &upper),
+                _ => upper,
+            };
+            edits.push(("upper-case hex", upper));
+        }
+        for (edit, text) in edits {
+            let what = format!("{} / {edit}", case.name);
+            assert_ne!(
+                text.trim_end(),
+                case.doc.trim_end(),
+                "{what}: the edit applies"
+            );
+            assert!(!(case.accepts)(&text), "{what}: accepted {text:?}");
+            let report = audit_file(case.file, text.as_bytes());
+            assert_eq!(
+                codes(&report).first(),
+                Some(&case.code),
+                "{what}: {:?}",
+                report.diagnostics
+            );
+        }
+    }
 }
 
 /// Volume backstop: any single bit flip inside the document body (the

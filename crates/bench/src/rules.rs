@@ -1,9 +1,10 @@
 //! Shape and floor rules for every `bbmg-bench-*` artifact.
 //!
 //! [`check`] dispatches on the document's `schema` tag. Every schema is
-//! strict: each object carries exactly its fields, in order, so unknown,
-//! missing, reordered and duplicate fields are all violations, and each
-//! median must be one of the samples it summarises. Beyond shape, the
+//! strict: each object is read by the shared reader,
+//! [`bbmg_obs::json::fields`], against its keys, so unknown, missing,
+//! reordered and duplicate fields are all violations, and each median
+//! must be one of the samples it summarises. Beyond shape, the
 //! rules hold the performance floors, each only where the recorded host
 //! can witness it:
 //!
@@ -24,7 +25,7 @@
 //! [`write_artifact`](crate::runner::write_artifact) runs them before it
 //! writes an artifact, and `bbmg audit` runs them on a committed one.
 
-use bbmg_obs::json::Json;
+use bbmg_obs::json::{self, Field, FieldError, Json};
 
 use crate::{BENCH_CORPUS_SCHEMA, BENCH_LEARNER_SCHEMA, BENCH_OBSERVER_SCHEMA, BENCH_SERVE_SCHEMA};
 
@@ -46,84 +47,53 @@ pub fn check(document: &Json) -> Result<(), String> {
     }
 }
 
-/// Checks that `value` is an object with exactly `keys`, in order.
-fn exact_object(value: &Json, context: &str, keys: &[&str]) -> Result<(), String> {
-    let Json::Object(fields) = value else {
-        return Err(format!("{context}: expected an object"));
-    };
-    let found: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-    if found != keys {
-        return Err(format!(
-            "{context}: expected fields {keys:?}, found {found:?}"
-        ));
+/// `value`'s fields, read by [`json::fields`] against `keys`; a refusal
+/// lists the keys expected and found.
+fn object<'a, const N: usize>(
+    value: &'a Json,
+    context: &str,
+    keys: [&'static str; N],
+) -> Result<[Field<'a>; N], String> {
+    json::fields(value, keys).map_err(|_| match value {
+        Json::Object(fields) => {
+            let found: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+            format!("{context}: expected fields {keys:?}, found {found:?}")
+        }
+        _ => format!("{context}: expected an object"),
+    })
+}
+
+/// Names the object a refused read is in.
+trait At<T> {
+    fn at(self, context: &str) -> Result<T, String>;
+}
+
+impl<T> At<T> for Result<T, FieldError> {
+    fn at(self, context: &str) -> Result<T, String> {
+        self.map_err(|e| format!("{context}: {e}"))
     }
-    Ok(())
 }
 
-fn field<'a>(value: &'a Json, context: &str, key: &str) -> Result<&'a Json, String> {
-    value
-        .get(key)
-        .ok_or_else(|| format!("{context}: {key} must be present"))
-}
-
-fn u64_field(value: &Json, context: &str, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{context}: {key} must be a non-negative integer"))
-}
-
-fn f64_field(value: &Json, context: &str, key: &str) -> Result<f64, String> {
-    value
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{context}: {key} must be a number"))
-}
-
-fn at_least_one(value: &Json, context: &str, key: &str) -> Result<u64, String> {
-    match u64_field(value, context, key)? {
-        0 => Err(format!("{context}: {key} must be at least 1")),
+fn at_least_one(field: Field<'_>, context: &str) -> Result<u64, String> {
+    match field.u64().at(context)? {
+        0 => Err(format!("{context}: {} must be at least 1", field.key)),
         n => Ok(n),
     }
 }
 
-fn positive(value: &Json, context: &str, key: &str) -> Result<f64, String> {
-    match f64_field(value, context, key)? {
+fn positive(field: Field<'_>, context: &str) -> Result<f64, String> {
+    match field.f64().at(context)? {
         x if x > 0.0 => Ok(x),
-        _ => Err(format!("{context}: {key} must be positive")),
+        _ => Err(format!("{context}: {} must be positive", field.key)),
     }
 }
 
-fn bool_field(value: &Json, context: &str, key: &str) -> Result<bool, String> {
-    match value.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("{context}: {key} must be a boolean")),
-    }
-}
-
-fn str_field<'a>(value: &'a Json, context: &str, key: &str) -> Result<&'a str, String> {
-    value
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{context}: {key} must be a string"))
-}
-
-fn array_field<'a>(value: &'a Json, context: &str, key: &str) -> Result<&'a [Json], String> {
-    match value.get(key) {
-        Some(Json::Array(items)) => Ok(items),
-        _ => Err(format!("{context}: {key} must be an array")),
-    }
-}
-
-/// The root's `key` array, which must hold one object per entry of
-/// `names`, in order, each naming itself in a `name` field. Returns each
-/// item with its context label.
-fn named_items<'a>(
-    document: &'a Json,
-    key: &str,
-    names: &[&str],
-) -> Result<Vec<(&'a Json, String)>, String> {
-    let items = array_field(document, "root", key)?;
+/// The items of the root's array `items`, which must hold one object per
+/// entry of `names`, in order, each naming itself in a `name` field.
+/// Returns each item with its context label.
+fn named_items<'a>(items: Field<'a>, names: &[&str]) -> Result<Vec<(&'a Json, String)>, String> {
+    let key = items.key;
+    let items = items.array().at("root")?;
     if items.len() != names.len() {
         return Err(format!(
             "{key} has {} entries, expected {}",
@@ -132,12 +102,11 @@ fn named_items<'a>(
         ));
     }
     items
-        .iter()
         .zip(names)
         .map(|(item, name)| {
             let context = format!("{key}[{name}]");
-            if item.get("name").and_then(Json::as_str) == Some(name) {
-                Ok((item, context))
+            if item.value.get("name").and_then(Json::as_str) == Some(name) {
+                Ok((item.value, context))
             } else {
                 Err(format!("{context}: name must be \"{name}\""))
             }
@@ -145,30 +114,26 @@ fn named_items<'a>(
         .collect()
 }
 
-/// The `micros` sample list of `value`, which must hold `iterations`
-/// non-negative integers.
-fn micros_list(value: &Json, context: &str, iterations: u64) -> Result<Vec<u64>, String> {
-    let items = array_field(value, context, "micros")?;
+/// The `median` and the `micros` samples of one timed row: `iterations`
+/// non-negative integers, the median one of them.
+fn sampled_median(
+    median: Field<'_>,
+    micros: Field<'_>,
+    context: &str,
+    iterations: u64,
+) -> Result<(u64, Vec<u64>), String> {
+    let median = median.u64().at(context)?;
+    let items = micros.array().at(context)?;
     if items.len() as u64 != iterations {
         return Err(format!(
             "{context}: micros has {} samples, expected {iterations}",
             items.len()
         ));
     }
-    items
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| format!("{context}: micros entries must be non-negative integers"))
-        })
-        .collect()
-}
-
-/// `median_micros` and the `micros` samples of `value`; the median must
-/// be one of the samples.
-fn sampled_median(value: &Json, context: &str, iterations: u64) -> Result<(u64, Vec<u64>), String> {
-    let median = u64_field(value, context, "median_micros")?;
-    let samples = micros_list(value, context, iterations)?;
+    let samples: Vec<u64> = items
+        .map(Field::u64)
+        .collect::<Result<_, _>>()
+        .at(context)?;
     if !samples.contains(&median) {
         return Err(format!(
             "{context}: median_micros {median} is not one of the samples"
@@ -183,10 +148,10 @@ fn sampled_median(value: &Json, context: &str, iterations: u64) -> Result<(u64, 
 const MIN_TIMED_BASELINE_MICROS: u64 = 500;
 
 fn learner(document: &Json) -> Result<(), String> {
-    exact_object(
+    let [_, cpu_threads, iterations, quick, kernels, pool, workloads] = object(
         document,
         "root",
-        &[
+        [
             "schema",
             "cpu_threads",
             "iterations",
@@ -196,31 +161,30 @@ fn learner(document: &Json) -> Result<(), String> {
             "workloads",
         ],
     )?;
-    let cpu_threads = at_least_one(document, "root", "cpu_threads")?;
-    let iterations = at_least_one(document, "root", "iterations")?;
-    let quick = bool_field(document, "root", "quick")?;
+    let cpu_threads = at_least_one(cpu_threads, "root")?;
+    let iterations = at_least_one(iterations, "root")?;
+    let quick = quick.bool().at("root")?;
 
-    for (kernel, context) in named_items(document, "kernels", &["leq", "join", "weight"])? {
-        exact_object(
+    for (kernel, context) in named_items(kernels, &["leq", "join", "weight"])? {
+        let [_, scalar, packed, speedup] = object(
             kernel,
             &context,
-            &[
+            [
                 "name",
                 "scalar_median_micros",
                 "packed_median_micros",
                 "speedup",
             ],
         )?;
-        u64_field(kernel, &context, "scalar_median_micros")?;
-        u64_field(kernel, &context, "packed_median_micros")?;
-        positive(kernel, &context, "speedup")?;
+        scalar.u64().at(&context)?;
+        packed.u64().at(&context)?;
+        positive(speedup, &context)?;
     }
 
-    let pool = field(document, "root", "pool")?;
-    exact_object(
-        pool,
+    let [workers, dispatches, cold, warm, speedup] = object(
+        pool.value,
         "pool",
-        &[
+        [
             "workers",
             "dispatches",
             "cold_spawn_micros",
@@ -228,33 +192,31 @@ fn learner(document: &Json) -> Result<(), String> {
             "speedup",
         ],
     )?;
-    at_least_one(pool, "pool", "workers")?;
-    at_least_one(pool, "pool", "dispatches")?;
-    u64_field(pool, "pool", "cold_spawn_micros")?;
-    u64_field(pool, "pool", "warm_dispatch_micros")?;
-    positive(pool, "pool", "speedup")?;
+    at_least_one(workers, "pool")?;
+    at_least_one(dispatches, "pool")?;
+    cold.u64().at("pool")?;
+    warm.u64().at("pool")?;
+    positive(speedup, "pool")?;
 
-    for (workload, context) in
-        named_items(document, "workloads", &["exact_blowup", "bounded_random"])?
-    {
-        exact_object(workload, &context, &["name", "threads"])?;
-        let rows = array_field(workload, &context, "threads")?;
-        if rows.is_empty() {
+    for (workload, context) in named_items(workloads, &["exact_blowup", "bounded_random"])? {
+        let [name, rows] = object(workload, &context, ["name", "threads"])?;
+        let rows = rows.array().at(&context)?;
+        if rows.len() == 0 {
             return Err(format!("{context}: threads must not be empty"));
         }
         let mut base_median = None;
         for row in rows {
-            let threads = u64_field(row, &context, "threads")?;
-            let row_context = format!("{context}.threads[{threads}]");
-            exact_object(
-                row,
-                &row_context,
-                &["threads", "median_micros", "micros", "speedup_vs_1"],
+            let [threads, median, micros, speedup] = object(
+                row.value,
+                &context,
+                ["threads", "median_micros", "micros", "speedup_vs_1"],
             )?;
+            let threads = threads.u64().at(&context)?;
+            let row_context = format!("{context}.threads[{threads}]");
             if threads == 0 {
                 return Err(format!("{row_context}: threads must be at least 1"));
             }
-            let (median, samples) = sampled_median(row, &row_context, iterations)?;
+            let (median, samples) = sampled_median(median, micros, &row_context, iterations)?;
             let baseline_row = base_median.is_none();
             if baseline_row && threads != 1 {
                 return Err(format!(
@@ -262,7 +224,7 @@ fn learner(document: &Json) -> Result<(), String> {
                 ));
             }
             let base = *base_median.get_or_insert(median);
-            let speedup = positive(row, &row_context, "speedup_vs_1")?;
+            let speedup = positive(speedup, &row_context)?;
             if base < MIN_TIMED_BASELINE_MICROS {
                 continue;
             }
@@ -287,8 +249,7 @@ fn learner(document: &Json) -> Result<(), String> {
                     "{row_context}: speedup_vs_1 {speedup:.2} is below the 0.75 no-regression floor"
                 ));
             }
-            let scaling_row = workload.get("name").and_then(Json::as_str) == Some("bounded_random")
-                && threads == 4;
+            let scaling_row = name.value.as_str() == Some("bounded_random") && threads == 4;
             if !quick && scaling_row && speedup < 3.0 {
                 return Err(format!(
                     "{row_context}: speedup_vs_1 {speedup:.2} is below the 3.0x scaling floor \
@@ -301,10 +262,10 @@ fn learner(document: &Json) -> Result<(), String> {
 }
 
 fn serve(document: &Json) -> Result<(), String> {
-    exact_object(
+    let [_, workload, periods, cpu_threads, quick, runs, shedding] = object(
         document,
         "root",
-        &[
+        [
             "schema",
             "workload",
             "periods_per_source",
@@ -314,12 +275,12 @@ fn serve(document: &Json) -> Result<(), String> {
             "shedding",
         ],
     )?;
-    str_field(document, "root", "workload")?;
-    let periods = at_least_one(document, "root", "periods_per_source")?;
-    at_least_one(document, "root", "cpu_threads")?;
-    bool_field(document, "root", "quick")?;
+    workload.str().at("root")?;
+    let periods = at_least_one(periods, "root")?;
+    at_least_one(cpu_threads, "root")?;
+    quick.bool().at("root")?;
 
-    let runs = array_field(document, "root", "runs")?;
+    let runs = runs.array().at("root")?;
     let expected_shards = [1u64, 2, 4];
     if runs.len() != expected_shards.len() {
         return Err(format!(
@@ -328,72 +289,61 @@ fn serve(document: &Json) -> Result<(), String> {
             expected_shards.len()
         ));
     }
-    for (run, expected) in runs.iter().zip(expected_shards) {
+    for (run, expected) in runs.zip(expected_shards) {
         let context = format!("runs[shards={expected}]");
-        exact_object(
-            run,
-            &context,
-            &[
-                "shards",
-                "events",
-                "elapsed_micros",
-                "events_per_sec",
-                "p50_period_micros",
-                "p95_period_micros",
-                "shed_periods",
-                "shed_events",
-            ],
-        )?;
-        if u64_field(run, &context, "shards")? != expected {
+        #[rustfmt::skip]
+        let [shards, events, elapsed, events_per_sec, p50, p95, shed_periods, shed_events] =
+            object(run.value, &context, [
+                "shards", "events", "elapsed_micros", "events_per_sec", "p50_period_micros",
+                "p95_period_micros", "shed_periods", "shed_events",
+            ])?;
+        if shards.u64().at(&context)? != expected {
             return Err(format!("{context}: shards must be {expected}"));
         }
-        let events = u64_field(run, &context, "events")?;
+        let events = events.u64().at(&context)?;
         if events != expected * periods * 6 {
             return Err(format!(
                 "{context}: events {events} does not match shards x periods x 6"
             ));
         }
-        at_least_one(run, &context, "elapsed_micros")?;
-        at_least_one(run, &context, "events_per_sec")?;
-        let p50 = u64_field(run, &context, "p50_period_micros")?;
-        let p95 = u64_field(run, &context, "p95_period_micros")?;
+        at_least_one(elapsed, &context)?;
+        at_least_one(events_per_sec, &context)?;
+        let p50 = p50.u64().at(&context)?;
+        let p95 = p95.u64().at(&context)?;
         if p95 < p50 {
             return Err(format!("{context}: p95 must be at least p50"));
         }
-        if u64_field(run, &context, "shed_periods")? != 0
-            || u64_field(run, &context, "shed_events")? != 0
-        {
+        if shed_periods.u64().at(&context)? != 0 || shed_events.u64().at(&context)? != 0 {
             return Err(format!("{context}: healthy runs must shed nothing"));
         }
     }
 
-    let shedding = field(document, "root", "shedding")?;
-    exact_object(
-        shedding,
+    let [watermark, shed_periods, shed_events, events_per_sec] = object(
+        shedding.value,
         "shedding",
-        &[
+        [
             "watermark_words",
             "shed_periods",
             "shed_events",
             "events_per_sec",
         ],
     )?;
-    if u64_field(shedding, "shedding", "watermark_words")? != 0 {
+    if watermark.u64().at("shedding")? != 0 {
         return Err("shedding: watermark_words must be 0".into());
     }
-    if u64_field(shedding, "shedding", "shed_periods")? == 0 {
+    if shed_periods.u64().at("shedding")? == 0 {
         return Err("shedding: shed_periods must be positive (the ladder fired)".into());
     }
-    at_least_one(shedding, "shedding", "events_per_sec")?;
-    u64_field(shedding, "shedding", "shed_events")?;
+    at_least_one(events_per_sec, "shedding")?;
+    shed_events.u64().at("shedding")?;
     Ok(())
 }
 
 fn corpus(document: &Json) -> Result<(), String> {
-    exact_object(
+    let [_, cpu_threads, iterations, quick, parse, corpus, checkpoint] = object(
         document,
         "root",
-        &[
+        [
             "schema",
             "cpu_threads",
             "iterations",
@@ -403,41 +353,32 @@ fn corpus(document: &Json) -> Result<(), String> {
             "checkpoint",
         ],
     )?;
-    at_least_one(document, "root", "cpu_threads")?;
-    at_least_one(document, "root", "iterations")?;
-    bool_field(document, "root", "quick")?;
+    at_least_one(cpu_threads, "root")?;
+    at_least_one(iterations, "root")?;
+    quick.bool().at("root")?;
 
-    let parse = field(document, "root", "parse")?;
-    exact_object(
-        parse,
-        "parse",
-        &[
-            "tasks",
-            "periods",
-            "samples",
-            "csv_bytes",
-            "btrace_bytes",
-            "csv_split_median_micros",
-            "csv_median_micros",
-            "csv_speedup",
-            "btrace_median_micros",
-            "btrace_speedup",
-        ],
-    )?;
-    for key in ["tasks", "periods", "samples", "csv_bytes", "btrace_bytes"] {
-        at_least_one(parse, "parse", key)?;
+    #[rustfmt::skip]
+    let [
+        tasks, periods, samples, csv_bytes, btrace_bytes, split_median, csv_median, csv_speedup,
+        btrace_median, btrace_speedup,
+    ] = object(parse.value, "parse", [
+        "tasks", "periods", "samples", "csv_bytes", "btrace_bytes", "csv_split_median_micros",
+        "csv_median_micros", "csv_speedup", "btrace_median_micros", "btrace_speedup",
+    ])?;
+    for count in [tasks, periods, samples, csv_bytes, btrace_bytes] {
+        at_least_one(count, "parse")?;
     }
-    u64_field(parse, "parse", "csv_split_median_micros")?;
-    u64_field(parse, "parse", "csv_median_micros")?;
-    u64_field(parse, "parse", "btrace_median_micros")?;
-    let csv_speedup = f64_field(parse, "parse", "csv_speedup")?;
+    for median in [split_median, csv_median, btrace_median] {
+        median.u64().at("parse")?;
+    }
+    let csv_speedup = csv_speedup.f64().at("parse")?;
     if csv_speedup < 1.0 {
         return Err(format!(
             "parse: csv_speedup {csv_speedup:.2} is below the 1.0 no-regression floor \
              (byte-slice parser must not lose to the allocating reference)"
         ));
     }
-    let btrace_speedup = f64_field(parse, "parse", "btrace_speedup")?;
+    let btrace_speedup = btrace_speedup.f64().at("parse")?;
     if btrace_speedup < 3.0 {
         return Err(format!(
             "parse: btrace_speedup {btrace_speedup:.2} is below the 3.0x floor \
@@ -445,27 +386,18 @@ fn corpus(document: &Json) -> Result<(), String> {
         ));
     }
 
-    let corpus = field(document, "root", "corpus")?;
-    exact_object(
-        corpus,
-        "corpus",
-        &[
-            "files",
-            "unique",
-            "duplicate_ratio",
-            "cold_median_micros",
-            "cold_traces_per_sec",
-            "warm_median_micros",
-            "warm_traces_per_sec",
-            "warm_speedup",
-        ],
-    )?;
-    let files = u64_field(corpus, "corpus", "files")?;
-    let unique = u64_field(corpus, "corpus", "unique")?;
+    #[rustfmt::skip]
+    let [files, unique, ratio, cold_median, cold_rate, warm_median, warm_rate, warm_speedup] =
+        object(corpus.value, "corpus", [
+            "files", "unique", "duplicate_ratio", "cold_median_micros", "cold_traces_per_sec",
+            "warm_median_micros", "warm_traces_per_sec", "warm_speedup",
+        ])?;
+    let files = files.u64().at("corpus")?;
+    let unique = unique.u64().at("corpus")?;
     if unique == 0 || unique > files {
         return Err("corpus: unique must be in 1..=files".into());
     }
-    let duplicate_ratio = f64_field(corpus, "corpus", "duplicate_ratio")?;
+    let duplicate_ratio = ratio.f64().at("corpus")?;
     let expected_ratio = (files - unique) as f64 / files as f64;
     if (duplicate_ratio - expected_ratio).abs() > 0.01 {
         return Err(format!(
@@ -479,48 +411,52 @@ fn corpus(document: &Json) -> Result<(), String> {
              warm-speedup floor is calibrated for"
         ));
     }
-    at_least_one(corpus, "corpus", "cold_median_micros")?;
-    at_least_one(corpus, "corpus", "warm_median_micros")?;
-    positive(corpus, "corpus", "cold_traces_per_sec")?;
-    positive(corpus, "corpus", "warm_traces_per_sec")?;
-    let warm_speedup = f64_field(corpus, "corpus", "warm_speedup")?;
+    at_least_one(cold_median, "corpus")?;
+    at_least_one(warm_median, "corpus")?;
+    positive(cold_rate, "corpus")?;
+    positive(warm_rate, "corpus")?;
+    let warm_speedup = warm_speedup.f64().at("corpus")?;
     if warm_speedup < 5.0 {
         return Err(format!(
             "corpus: warm_speedup {warm_speedup:.2} is below the 5.0x floor \
              for a warm cache over a 90%-duplicate corpus"
         ));
     }
-    corpus_checkpoint(field(document, "root", "checkpoint")?)
+    corpus_checkpoint(checkpoint.value)
 }
 
 fn corpus_checkpoint(checkpoint: &Json) -> Result<(), String> {
     let context = "checkpoint";
-    exact_object(
-        checkpoint,
-        context,
-        &[
-            "tasks",
-            "samples",
-            "small_hypotheses",
-            "small_bytes",
-            "small_median_micros",
-            "small_micros_per_kb",
-            "large_hypotheses",
-            "large_bytes",
-            "large_median_micros",
-            "large_micros_per_kb",
-            "checkpoint_scaling",
-        ],
-    )?;
-    at_least_one(checkpoint, context, "tasks")?;
-    at_least_one(checkpoint, context, "samples")?;
+    #[rustfmt::skip]
+    let [
+        tasks, samples, small_hypotheses, small_bytes, small_median, small_per_kb,
+        large_hypotheses, large_bytes, large_median, large_per_kb, scaling,
+    ] = object(checkpoint, context, [
+        "tasks", "samples", "small_hypotheses", "small_bytes", "small_median_micros",
+        "small_micros_per_kb", "large_hypotheses", "large_bytes", "large_median_micros",
+        "large_micros_per_kb", "checkpoint_scaling",
+    ])?;
+    at_least_one(tasks, context)?;
+    at_least_one(samples, context)?;
     let mut per_kb = [0.0; 2];
     let mut sizes = [(0, 0); 2];
-    for (i, size) in ["small", "large"].into_iter().enumerate() {
-        let hypotheses = u64_field(checkpoint, context, &format!("{size}_hypotheses"))?;
-        let bytes = u64_field(checkpoint, context, &format!("{size}_bytes"))?;
-        let micros = u64_field(checkpoint, context, &format!("{size}_median_micros"))?;
-        let stored = f64_field(checkpoint, context, &format!("{size}_micros_per_kb"))?;
+    for (i, (size, [hypotheses, bytes, micros, stored])) in [
+        (
+            "small",
+            [small_hypotheses, small_bytes, small_median, small_per_kb],
+        ),
+        (
+            "large",
+            [large_hypotheses, large_bytes, large_median, large_per_kb],
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let hypotheses = hypotheses.u64().at(context)?;
+        let bytes = bytes.u64().at(context)?;
+        let micros = micros.u64().at(context)?;
+        let stored = stored.f64().at(context)?;
         if hypotheses == 0 || bytes == 0 || micros == 0 {
             return Err(format!(
                 "checkpoint: {size}_hypotheses, {size}_bytes and {size}_median_micros \
@@ -544,7 +480,7 @@ fn corpus_checkpoint(checkpoint: &Json) -> Result<(), String> {
             sizes[1].0, sizes[1].1, sizes[0].0, sizes[0].1
         ));
     }
-    let scaling = f64_field(checkpoint, context, "checkpoint_scaling")?;
+    let scaling = scaling.f64().at(context)?;
     let expected = per_kb[1] / per_kb[0];
     if (scaling - expected).abs() > 0.005 + expected * 1e-6 {
         return Err(format!(
@@ -562,43 +498,36 @@ fn corpus_checkpoint(checkpoint: &Json) -> Result<(), String> {
 }
 
 fn observer(document: &Json) -> Result<(), String> {
-    exact_object(
-        document,
-        "root",
-        &[
-            "schema",
-            "workload",
-            "cpu_threads",
-            "iterations",
-            "variants",
-            "noop_overhead_percent",
-            "serve_workload",
-            "serve_variants",
-        ],
-    )?;
-    str_field(document, "root", "workload")?;
-    at_least_one(document, "root", "cpu_threads")?;
-    let iterations = at_least_one(document, "root", "iterations")?;
-    str_field(document, "root", "serve_workload")?;
+    #[rustfmt::skip]
+    let [_, workload, cpu_threads, iterations, variants, overhead, serve_workload, serve_variants] =
+        object(document, "root", [
+            "schema", "workload", "cpu_threads", "iterations", "variants",
+            "noop_overhead_percent", "serve_workload", "serve_variants",
+        ])?;
+    workload.str().at("root")?;
+    at_least_one(cpu_threads, "root")?;
+    let iterations = at_least_one(iterations, "root")?;
+    serve_workload.str().at("root")?;
     let mut medians = Vec::new();
-    for (key, names) in [
+    for (items, names) in [
         (
-            "variants",
+            variants,
             &["uninstrumented", "noop", "recorder", "jsonl"][..],
         ),
         (
-            "serve_variants",
+            serve_variants,
             &["serve_noop", "serve_recorder", "serve_jsonl"][..],
         ),
     ] {
-        for (variant, context) in named_items(document, key, names)? {
-            exact_object(variant, &context, &["name", "median_micros", "micros"])?;
-            medians.push(sampled_median(variant, &context, iterations)?.0);
+        for (variant, context) in named_items(items, names)? {
+            let [_, median, micros] =
+                object(variant, &context, ["name", "median_micros", "micros"])?;
+            medians.push(sampled_median(median, micros, &context, iterations)?.0);
         }
     }
     let base = medians[0].max(1) as f64;
     let expected = 100.0 * (medians[1] as f64 - base) / base;
-    let stored = f64_field(document, "root", "noop_overhead_percent")?;
+    let stored = overhead.f64().at("root")?;
     if (stored - expected).abs() > 0.01 {
         return Err(format!(
             "root: noop_overhead_percent {stored:.2} disagrees with \

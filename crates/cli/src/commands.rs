@@ -1156,8 +1156,7 @@ pub(crate) mod corpus {
 
     use bbmg_core::pool::WorkerPool;
     use bbmg_core::{
-        payload_checksum, trace_fingerprints, Checkpoint, IncrementalLearner, ModelCache,
-        CORPUS_SCHEMA,
+        seal, trace_fingerprints, Checkpoint, IncrementalLearner, ModelCache, CORPUS_SCHEMA,
     };
     use bbmg_obs::json::escape;
     use bbmg_obs::NoopObserver;
@@ -1473,10 +1472,7 @@ pub(crate) mod corpus {
             ));
         }
         payload.push_str("]}");
-        let document = format!(
-            "{{\"schema\":\"{CORPUS_SCHEMA}\",\"checksum\":\"{:016x}\",\"payload\":{payload}}}",
-            payload_checksum(payload.as_bytes())
-        );
+        let document = seal(CORPUS_SCHEMA, &payload);
 
         match &options.report {
             Some(path) => {

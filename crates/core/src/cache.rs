@@ -43,10 +43,11 @@ use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
+use bbmg_obs::json;
 use bbmg_obs::NoopObserver;
 use bbmg_trace::{EventKind, Trace};
 
-use crate::checkpoint::{payload_checksum, Checkpoint, CheckpointError};
+use crate::checkpoint::{checksum, Checkpoint, CheckpointError};
 use crate::error::LearnError;
 use crate::incremental::IncrementalLearner;
 use crate::options::LearnOptions;
@@ -135,7 +136,7 @@ pub fn trace_fingerprints(trace: &Trace, options: &LearnOptions) -> TraceFingerp
     let universe = trace.universe();
     let mut h = mix(0x6262_6D67_2D63_6163, universe.len() as u64);
     for id in universe.ids() {
-        h = mix(h, payload_checksum(universe.name(id).as_bytes()));
+        h = mix(h, checksum(universe.name(id).as_bytes()));
     }
     h = mix(h, options_digest(options));
 
@@ -147,8 +148,8 @@ pub fn trace_fingerprints(trace: &Trace, options: &LearnOptions) -> TraceFingerp
         event_digests.reserve(period.events().len());
         for event in period.events() {
             let (tag, subject) = match event.kind {
-                EventKind::TaskStart(t) => (0u64, payload_checksum(universe.name(t).as_bytes())),
-                EventKind::TaskEnd(t) => (1, payload_checksum(universe.name(t).as_bytes())),
+                EventKind::TaskStart(t) => (0u64, checksum(universe.name(t).as_bytes())),
+                EventKind::TaskEnd(t) => (1, checksum(universe.name(t).as_bytes())),
                 EventKind::MessageRise(m) => (2, m.index() as u64),
                 EventKind::MessageFall(m) => (3, m.index() as u64),
             };
@@ -273,13 +274,9 @@ impl ModelCache {
             if path.extension().is_none_or(|e| e != "ckpt") {
                 continue;
             }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            if stem.len() != 16 {
-                continue;
-            }
-            let Ok(fingerprint) = u64::from_str_radix(stem, 16) else {
+            // Only names `entry_path` writes: 16 lower-case hex digits.
+            let stem = path.file_stem().and_then(|s| s.to_str());
+            let Some(fingerprint) = stem.and_then(json::hex_u64) else {
                 continue;
             };
             names.push((fingerprint, path));
@@ -667,6 +664,17 @@ mod tests {
         assert_eq!(reopened.len(), 1);
         let warm = reopened.learn(&trace, options).unwrap();
         assert_eq!(warm.hit, CacheHit::Full);
+        // Only the names `entry_path` writes are indexed: the same entry
+        // renamed with upper-case digits or a `+` sign is never loaded.
+        let written = reopened.entry_path(trace_fingerprints(&trace, &options).full());
+        let stem = written.file_stem().and_then(|s| s.to_str()).unwrap();
+        for name in [stem.to_uppercase(), format!("+{}", &stem[1..])] {
+            assert_ne!(name, stem);
+            let renamed = dir.join(format!("{name}.ckpt"));
+            std::fs::rename(&written, &renamed).unwrap();
+            assert_eq!(cache(&dir, 8).len(), 0, "{name}");
+            std::fs::rename(&renamed, &written).unwrap();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

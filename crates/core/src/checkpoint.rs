@@ -26,9 +26,12 @@
 //! *string*: the workspace's JSON parser backs numbers with `f64`, which
 //! is exact only up to 2^53.
 //!
-//! Parsing is strict in the same sense as `bbmg-metrics/2`: unknown,
-//! missing, duplicated or reordered fields are errors, the schema tag must
-//! match exactly, and every hypothesis is re-validated structurally
+//! The envelope is written by [`seal`] and opened by [`unseal`], which
+//! `bbmg corpus` reports share. Every object is read by the shared strict
+//! reader, [`bbmg_obs::json::fields`]: unknown, missing, duplicated or
+//! reordered fields are errors, and hex strings must be the 16 lower-case
+//! digits the writer emits. The schema tag must match exactly, and every
+//! hypothesis is re-validated structurally
 //! ([`DependencyFunction::from_words`]) and cryptographically (stored vs
 //! recomputed fingerprints) before a learner may resume from it. A
 //! checkpoint for a different task-universe size is refused at the
@@ -47,7 +50,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use bbmg_lattice::{DependencyFunction, FunctionDecodeError};
-use bbmg_obs::json::{self, Json};
+use bbmg_obs::json::{self, Field, FieldError, Json};
 use bbmg_trace::MessageId;
 
 use crate::options::{Budget, LearnOptions, MergeAssumptions, OnInconsistent};
@@ -75,7 +78,7 @@ pub fn antichain_fingerprint(functions: &[DependencyFunction]) -> u64 {
 
 /// 64-bit FNV-1a over `bytes` with a splitmix finalizer, seeded with the
 /// length so truncation to a self-consistent prefix still changes the sum.
-fn checksum(bytes: &[u8]) -> u64 {
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64 ^ bytes.len() as u64;
     for &b in bytes {
         h ^= u64::from(b);
@@ -86,26 +89,57 @@ fn checksum(bytes: &[u8]) -> u64 {
     h ^ (h >> 31)
 }
 
-/// The checksum a `bbmg-ckpt/1` envelope stamps over a payload's exact
-/// bytes. Exposed so tooling that constructs or mutates documents by hand
-/// — `bbmg-audit`'s mutation corpus, external fuzzers — can compute the
-/// sum the parser will verify.
+/// Wraps `payload` in the `{"schema","checksum","payload"}` envelope that
+/// checkpoints and `bbmg corpus` reports share. The checksum covers the
+/// payload's exact bytes, whitespace and field order included, so a
+/// hand-doctored payload passes the checksum and reaches the validators
+/// behind it.
 #[must_use]
-pub fn payload_checksum(payload: &[u8]) -> u64 {
-    checksum(payload)
-}
-
-/// Wraps a raw payload value into a complete `bbmg-ckpt/1` document with
-/// a freshly computed checksum. The payload is stamped byte-exactly —
-/// whitespace and field order are preserved — so a doctored payload sails
-/// through the checksum gate and exercises the *semantic* validators
-/// behind it, which is exactly what a mutation corpus needs.
-#[must_use]
-pub fn seal_document(payload: &str) -> String {
+pub fn seal(schema: &str, payload: &str) -> String {
     format!(
-        "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"checksum\":\"{:016x}\",\"payload\":{payload}}}",
+        "{{\"schema\":\"{schema}\",\"checksum\":\"{:016x}\",\"payload\":{payload}}}",
         checksum(payload.as_bytes())
     )
+}
+
+/// Opens a document [`seal`] wrote, given its `text` and its parse: the
+/// envelope must hold exactly its three keys, the tag must be `schema`,
+/// and the checksum must match the payload's exact bytes. Returns the
+/// parsed payload.
+///
+/// # Errors
+///
+/// [`CheckpointError::Schema`] for another tag,
+/// [`CheckpointError::ChecksumMismatch`], and
+/// [`CheckpointError::Malformed`] for any other envelope fault.
+pub fn unseal<'a>(
+    text: &str,
+    document: &'a Json,
+    schema: &str,
+) -> Result<&'a Json, CheckpointError> {
+    let at = |e| malformed("document", e);
+    let [tag, stored, payload] =
+        json::fields(document, ["schema", "checksum", "payload"]).map_err(at)?;
+    let found = tag.value.as_str().unwrap_or_default();
+    if found != schema {
+        return Err(CheckpointError::Schema {
+            found: found.to_owned(),
+        });
+    }
+    let stored = stored.hex().map_err(at)?;
+    // The writer emits no whitespace and puts `payload` last, so the
+    // payload's bytes run from the `"payload":` marker to the final `}`.
+    let marker = "\"payload\":";
+    let trimmed = text.trim_end();
+    let payload_text = text
+        .find(marker)
+        .and_then(|at| trimmed.get(at + marker.len()..trimmed.len() - 1))
+        .ok_or_else(|| malformed("document", "payload marker not found"))?;
+    let actual = checksum(payload_text.as_bytes());
+    if actual != stored {
+        return Err(CheckpointError::ChecksumMismatch { stored, actual });
+    }
+    Ok(payload.value)
 }
 
 /// Why a checkpoint could not be written, read, or trusted.
@@ -247,11 +281,7 @@ impl Checkpoint {
     /// Serializes to the `bbmg-ckpt/1` document (no trailing newline).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let payload = self.payload_json();
-        format!(
-            "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"checksum\":\"{:016x}\",\"payload\":{payload}}}",
-            checksum(payload.as_bytes())
-        )
+        seal(CHECKPOINT_SCHEMA, &self.payload_json())
     }
 
     fn payload_json(&self) -> String {
@@ -306,57 +336,24 @@ impl Checkpoint {
     /// [`CheckpointError`]: bad JSON, wrong schema tag, checksum mismatch,
     /// shape violations, undecodable or fingerprint-mismatched hypotheses.
     pub fn parse_json(text: &str) -> Result<Self, CheckpointError> {
-        let doc = json::parse(text).map_err(|e| CheckpointError::Json {
+        let document = json::parse(text).map_err(|e| CheckpointError::Json {
             message: e.to_string(),
         })?;
-        let mut outer = FieldWalker::new(&doc, "document")?;
-        let schema = outer.take("schema")?.as_str().unwrap_or_default();
-        if schema != CHECKPOINT_SCHEMA {
-            return Err(CheckpointError::Schema {
-                found: schema.to_owned(),
-            });
-        }
-        let stored_checksum = hex_u64(outer.take("checksum")?, "document", "checksum")?;
-        let payload = outer.take("payload")?;
-        outer.finish()?;
-
-        // The checksum covers the payload's exact byte serialization. The
-        // writer emits the document without whitespace and with `payload`
-        // last, so the payload text is everything between the (unique)
-        // `"payload":` marker and the final `}`.
-        let marker = "\"payload\":";
-        let start = text.find(marker).ok_or(CheckpointError::Malformed {
-            context: "document",
-            message: "payload marker not found".to_owned(),
-        })? + marker.len();
-        let trimmed = text.trim_end();
-        let payload_text = &trimmed[start..trimmed.len() - 1];
-        let actual = checksum(payload_text.as_bytes());
-        if actual != stored_checksum {
-            return Err(CheckpointError::ChecksumMismatch {
-                stored: stored_checksum,
-                actual,
-            });
-        }
-
-        Self::decode_payload(payload)
+        Self::decode_payload(unseal(text, &document, CHECKPOINT_SCHEMA)?)
     }
 
     fn decode_payload(payload: &Json) -> Result<Self, CheckpointError> {
-        let mut p = FieldWalker::new(payload, "payload")?;
-        let tasks = usize_value(p.take("tasks")?, "payload", "tasks")?;
-        let pushed_periods = usize_value(p.take("pushed_periods")?, "payload", "pushed_periods")?;
-        let elapsed = Duration::from_micros(hex_u64(
-            p.take("elapsed_micros")?,
-            "payload",
-            "elapsed_micros",
-        )?);
-        let fallback_bound = nonzero_value(p.take("fallback_bound")?, "payload", "fallback_bound")?;
-        let options = decode_options(p.take("options")?)?;
-        let history = p
-            .take("history")?
-            .as_str()
-            .ok_or_else(|| malformed("payload", "`history` must be a string"))?;
+        let at = |e| malformed("payload", e);
+        #[rustfmt::skip]
+        let [
+            tasks, pushed_periods, elapsed_micros, fallback_bound, options, history, hypotheses,
+            antichain, stats,
+        ] = json::fields(payload, [
+            "tasks", "pushed_periods", "elapsed_micros", "fallback_bound", "options", "history",
+            "hypotheses", "antichain_fingerprint", "stats",
+        ]).map_err(at)?;
+        let tasks = tasks.usize().map_err(at)?;
+        let history = history.str().map_err(at)?;
         let mut ran_without = Vec::with_capacity(history.len());
         for c in history.chars() {
             match c {
@@ -370,30 +367,25 @@ impl Checkpoint {
                 }
             }
         }
-        if ran_without.len() != tasks * tasks {
+        if tasks.checked_mul(tasks) != Some(ran_without.len()) {
             return Err(malformed(
                 "payload.history",
                 format!(
-                    "bitmap has {} bits, expected {} for {tasks} tasks",
-                    ran_without.len(),
-                    tasks * tasks
+                    "bitmap has {} bits, expected {tasks} x {tasks} for {tasks} tasks",
+                    ran_without.len()
                 ),
             ));
         }
-        let Json::Array(entries) = p.take("hypotheses")? else {
-            return Err(malformed("payload", "`hypotheses` must be an array"));
-        };
+        let entries = hypotheses.array().map_err(at)?;
         let mut hypotheses = Vec::with_capacity(entries.len());
-        for (index, entry) in entries.iter().enumerate() {
-            let mut h = FieldWalker::new(entry, "payload.hypotheses")?;
-            let stored = hex_u64(h.take("fingerprint")?, "payload.hypotheses", "fingerprint")?;
-            let Json::Array(word_values) = h.take("words")? else {
-                return Err(malformed("payload.hypotheses", "`words` must be an array"));
-            };
-            h.finish()?;
-            let mut words = Vec::with_capacity(word_values.len());
-            for w in word_values {
-                words.push(hex_u64(w, "payload.hypotheses", "words")?);
+        for (index, entry) in entries.enumerate() {
+            let at = |e| malformed("payload.hypotheses", e);
+            let [fingerprint, words] = entry.object(["fingerprint", "words"]).map_err(at)?;
+            let stored = fingerprint.hex().map_err(at)?;
+            let items = words.array().map_err(at)?;
+            let mut words = Vec::with_capacity(items.len());
+            for word in items {
+                words.push(word.hex().map_err(at)?);
             }
             let function = DependencyFunction::from_words(tasks, words)
                 .map_err(|error| CheckpointError::Function { index, error })?;
@@ -407,11 +399,7 @@ impl Checkpoint {
             }
             hypotheses.push(function);
         }
-        let stored_antichain = hex_u64(
-            p.take("antichain_fingerprint")?,
-            "payload",
-            "antichain_fingerprint",
-        )?;
+        let stored_antichain = antichain.hex().map_err(at)?;
         let actual_antichain = antichain_fingerprint(&hypotheses);
         if actual_antichain != stored_antichain {
             return Err(CheckpointError::AntichainMismatch {
@@ -419,17 +407,15 @@ impl Checkpoint {
                 actual: actual_antichain,
             });
         }
-        let stats = decode_stats(p.take("stats")?)?;
-        p.finish()?;
         Ok(Checkpoint {
             tasks,
-            pushed_periods,
-            options,
-            fallback_bound,
-            elapsed,
+            pushed_periods: pushed_periods.usize().map_err(at)?,
+            options: decode_options(options)?,
+            fallback_bound: nonzero(fallback_bound).map_err(at)?,
+            elapsed: Duration::from_micros(elapsed_micros.hex().map_err(at)?),
             hypotheses,
             ran_without,
-            stats,
+            stats: decode_stats(stats)?,
         })
     }
 
@@ -503,56 +489,46 @@ fn push_options(out: &mut String, options: &LearnOptions) {
     ));
 }
 
-fn decode_options(value: &Json) -> Result<LearnOptions, CheckpointError> {
+fn decode_options(options: Field<'_>) -> Result<LearnOptions, CheckpointError> {
     const CTX: &str = "payload.options";
-    let mut o = FieldWalker::new(value, CTX)?;
-    let bound = opt_nonzero_value(o.take("bound")?, CTX, "bound")?;
-    let merge_assumptions = match o.take("merge_assumptions")?.as_str() {
-        Some("union") => MergeAssumptions::Union,
-        Some("intersection") => MergeAssumptions::Intersection,
+    let at = |e| malformed(CTX, e);
+    #[rustfmt::skip]
+    let [
+        bound, merge_assumptions, timing_filter, history_aware, set_limit, on_inconsistent,
+        max_steps, max_wall_clock_micros, parallelism,
+    ] = options.object([
+        "bound", "merge_assumptions", "timing_filter", "history_aware", "set_limit",
+        "on_inconsistent", "max_steps", "max_wall_clock_micros", "parallelism",
+    ]).map_err(at)?;
+    let merge_assumptions = match merge_assumptions.str().map_err(at)? {
+        "union" => MergeAssumptions::Union,
+        "intersection" => MergeAssumptions::Intersection,
         other => {
             return Err(malformed(
                 CTX,
-                format!("unknown merge_assumptions `{}`", other.unwrap_or_default()),
+                format!("unknown merge_assumptions `{other}`"),
             ))
         }
     };
-    let timing_filter = bool_value(o.take("timing_filter")?, CTX, "timing_filter")?;
-    let history_aware = bool_value(o.take("history_aware")?, CTX, "history_aware")?;
-    let set_limit = opt_nonzero_value(o.take("set_limit")?, CTX, "set_limit")?;
-    let on_inconsistent = match o.take("on_inconsistent")?.as_str() {
-        Some("abort") => OnInconsistent::Abort,
-        Some("skip_period") => OnInconsistent::SkipPeriod,
-        other => {
-            return Err(malformed(
-                CTX,
-                format!("unknown on_inconsistent `{}`", other.unwrap_or_default()),
-            ))
-        }
+    let on_inconsistent = match on_inconsistent.str().map_err(at)? {
+        "abort" => OnInconsistent::Abort,
+        "skip_period" => OnInconsistent::SkipPeriod,
+        other => return Err(malformed(CTX, format!("unknown on_inconsistent `{other}`"))),
     };
-    let max_steps = opt_nonzero_value(o.take("max_steps")?, CTX, "max_steps")?;
-    let max_wall_clock = match o.take("max_wall_clock_micros")? {
-        Json::Null => None,
-        v => Some(Duration::from_micros(hex_u64(
-            v,
-            CTX,
-            "max_wall_clock_micros",
-        )?)),
-    };
-    let parallelism = nonzero_value(o.take("parallelism")?, CTX, "parallelism")?;
-    o.finish()?;
+    let optional = |field: Field<'_>| field.non_null().map(nonzero).transpose().map_err(at);
+    let max_wall_clock = max_wall_clock_micros.non_null().map(Field::hex).transpose();
     Ok(LearnOptions {
-        bound,
+        bound: optional(bound)?,
         merge_assumptions,
-        timing_filter,
-        history_aware,
-        set_limit,
+        timing_filter: timing_filter.bool().map_err(at)?,
+        history_aware: history_aware.bool().map_err(at)?,
+        set_limit: optional(set_limit)?,
         on_inconsistent,
         budget: Budget {
-            max_steps,
-            max_wall_clock,
+            max_steps: optional(max_steps)?,
+            max_wall_clock: max_wall_clock.map_err(at)?.map(Duration::from_micros),
         },
-        parallelism,
+        parallelism: nonzero(parallelism).map_err(at)?,
     })
 }
 
@@ -590,156 +566,70 @@ fn push_stats(out: &mut String, stats: &LearnStats) {
     out.push_str("]}");
 }
 
-fn decode_stats(value: &Json) -> Result<LearnStats, CheckpointError> {
-    const CTX: &str = "payload.stats";
-    let mut s = FieldWalker::new(value, CTX)?;
-    let periods = usize_value(s.take("periods")?, CTX, "periods")?;
-    let messages = usize_value(s.take("messages")?, CTX, "messages")?;
-    let hypotheses_generated = usize_value(s.take("hypotheses_generated")?, CTX, "generated")?;
-    let merges = usize_value(s.take("merges")?, CTX, "merges")?;
-    let peak_set_size = usize_value(s.take("peak_set_size")?, CTX, "peak_set_size")?;
-    let Json::Array(sizes) = s.take("set_sizes_per_period")? else {
-        return Err(malformed(CTX, "`set_sizes_per_period` must be an array"));
-    };
-    let set_sizes_per_period = sizes
-        .iter()
-        .map(|v| usize_value(v, CTX, "set_sizes_per_period"))
-        .collect::<Result<Vec<_>, _>>()?;
-    let candidate_pairs_total = usize_value(s.take("candidate_pairs_total")?, CTX, "pairs")?;
-    let fallbacks = usize_value(s.take("fallbacks")?, CTX, "fallbacks")?;
-    let Json::Array(skips) = s.take("skipped_periods")? else {
-        return Err(malformed(CTX, "`skipped_periods` must be an array"));
-    };
-    let mut skipped_periods = Vec::with_capacity(skips.len());
-    for skip in skips {
+fn decode_stats(stats: Field<'_>) -> Result<LearnStats, CheckpointError> {
+    let at = |e| malformed("payload.stats", e);
+    #[rustfmt::skip]
+    let [
+        periods, messages, hypotheses_generated, merges, peak_set_size, set_sizes_per_period,
+        candidate_pairs_total, fallbacks, skipped_periods,
+    ] = stats.object([
+        "periods", "messages", "hypotheses_generated", "merges", "peak_set_size",
+        "set_sizes_per_period", "candidate_pairs_total", "fallbacks", "skipped_periods",
+    ]).map_err(at)?;
+    let set_sizes_per_period = set_sizes_per_period.array().map_err(at)?.map(Field::usize);
+    let mut skips = Vec::new();
+    for skip in skipped_periods.array().map_err(at)? {
         const SCTX: &str = "payload.stats.skipped_periods";
-        let mut w = FieldWalker::new(skip, SCTX)?;
-        let period = usize_value(w.take("period")?, SCTX, "period")?;
-        let cause_name = w.take("cause")?.as_str().unwrap_or_default().to_owned();
-        let message = match w.take("message")? {
-            Json::Null => None,
-            v => Some(MessageId::from_index(usize_value(v, SCTX, "message")?)),
+        let at = |e| malformed(SCTX, e);
+        let [period, cause, message] = skip.object(["period", "cause", "message"]).map_err(at)?;
+        let message = message
+            .non_null()
+            .map(Field::usize)
+            .transpose()
+            .map_err(at)?;
+        let cause = match (cause.str().map_err(at)?, message) {
+            ("inconsistent", message) => SkipCause::Inconsistent {
+                message: message.map(MessageId::from_index),
+            },
+            ("budget_exhausted", None) => SkipCause::BudgetExhausted,
+            (other, _) => return Err(malformed(SCTX, format!("unknown cause `{other}`"))),
         };
-        w.finish()?;
-        let cause = match cause_name.as_str() {
-            "inconsistent" => SkipCause::Inconsistent { message },
-            "budget_exhausted" if message.is_none() => SkipCause::BudgetExhausted,
-            other => return Err(malformed(SCTX, format!("unknown cause `{other}`"))),
-        };
-        skipped_periods.push(SkippedPeriod { period, cause });
+        skips.push(SkippedPeriod {
+            period: period.usize().map_err(at)?,
+            cause,
+        });
     }
-    s.finish()?;
     Ok(LearnStats {
-        periods,
-        messages,
-        hypotheses_generated,
-        merges,
-        peak_set_size,
-        set_sizes_per_period,
-        candidate_pairs_total,
-        skipped_periods,
-        fallbacks,
+        periods: periods.usize().map_err(at)?,
+        messages: messages.usize().map_err(at)?,
+        hypotheses_generated: hypotheses_generated.usize().map_err(at)?,
+        merges: merges.usize().map_err(at)?,
+        peak_set_size: peak_set_size.usize().map_err(at)?,
+        set_sizes_per_period: set_sizes_per_period.collect::<Result<_, _>>().map_err(at)?,
+        candidate_pairs_total: candidate_pairs_total.usize().map_err(at)?,
+        skipped_periods: skips,
+        fallbacks: fallbacks.usize().map_err(at)?,
     })
 }
 
-/// Walks an object's fields strictly in writer order: any deviation —
-/// unknown, missing, duplicated or reordered field — is a
-/// [`CheckpointError::Malformed`]. Checkpoints are machine-written;
-/// anything off-template is treated as corruption, not style.
-struct FieldWalker<'a> {
-    context: &'static str,
-    fields: std::slice::Iter<'a, (String, Json)>,
-}
-
-impl<'a> FieldWalker<'a> {
-    fn new(value: &'a Json, context: &'static str) -> Result<Self, CheckpointError> {
-        match value {
-            Json::Object(fields) => Ok(FieldWalker {
-                context,
-                fields: fields.iter(),
-            }),
-            _ => Err(malformed(context, "expected an object")),
-        }
-    }
-
-    fn take(&mut self, name: &str) -> Result<&'a Json, CheckpointError> {
-        match self.fields.next() {
-            Some((key, value)) if key == name => Ok(value),
-            Some((key, _)) => Err(malformed(
-                self.context,
-                format!("expected field `{name}`, found `{key}`"),
-            )),
-            None => Err(malformed(self.context, format!("missing field `{name}`"))),
-        }
-    }
-
-    fn finish(mut self) -> Result<(), CheckpointError> {
-        match self.fields.next() {
-            None => Ok(()),
-            Some((key, _)) => Err(malformed(self.context, format!("unknown field `{key}`"))),
-        }
-    }
-}
-
-fn malformed(context: &'static str, message: impl Into<String>) -> CheckpointError {
+fn malformed(context: &'static str, message: impl fmt::Display) -> CheckpointError {
     CheckpointError::Malformed {
         context,
-        message: message.into(),
+        message: message.to_string(),
     }
+}
+
+/// A positive integer: the checkpoint's nonzero bounds and counts.
+fn nonzero(field: Field<'_>) -> Result<NonZeroUsize, FieldError> {
+    let value = field.usize()?;
+    NonZeroUsize::new(value).ok_or(FieldError::Value {
+        key: field.key,
+        expected: "a positive integer",
+    })
 }
 
 fn opt_number(value: Option<NonZeroUsize>) -> String {
     value.map_or_else(|| "null".to_owned(), |v| v.to_string())
-}
-
-fn usize_value(value: &Json, context: &'static str, name: &str) -> Result<usize, CheckpointError> {
-    value
-        .as_u64()
-        .and_then(|v| usize::try_from(v).ok())
-        .ok_or_else(|| malformed(context, format!("`{name}` must be a non-negative integer")))
-}
-
-fn nonzero_value(
-    value: &Json,
-    context: &'static str,
-    name: &str,
-) -> Result<NonZeroUsize, CheckpointError> {
-    NonZeroUsize::new(usize_value(value, context, name)?)
-        .ok_or_else(|| malformed(context, format!("`{name}` must be nonzero")))
-}
-
-fn opt_nonzero_value(
-    value: &Json,
-    context: &'static str,
-    name: &str,
-) -> Result<Option<NonZeroUsize>, CheckpointError> {
-    match value {
-        Json::Null => Ok(None),
-        v => nonzero_value(v, context, name).map(Some),
-    }
-}
-
-fn bool_value(value: &Json, context: &'static str, name: &str) -> Result<bool, CheckpointError> {
-    match value {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(malformed(context, format!("`{name}` must be a boolean"))),
-    }
-}
-
-/// A `u64` serialized as a 16-digit hex string (see the module docs for
-/// why numbers cannot carry 64-bit payloads here).
-fn hex_u64(value: &Json, context: &'static str, name: &str) -> Result<u64, CheckpointError> {
-    let text = value
-        .as_str()
-        .ok_or_else(|| malformed(context, format!("`{name}` must be a hex string")))?;
-    if text.len() != 16 {
-        return Err(malformed(
-            context,
-            format!("`{name}` must be exactly 16 hex digits"),
-        ));
-    }
-    u64::from_str_radix(text, 16)
-        .map_err(|_| malformed(context, format!("`{name}` is not valid hex")))
 }
 
 #[cfg(test)]
@@ -838,20 +728,27 @@ mod tests {
     fn unknown_field_is_refused() {
         let mut ckpt = sample();
         ckpt.stats.skipped_periods.clear();
-        let text = ckpt.to_json();
         // Splice an extra field into the payload and re-stamp the checksum
         // so only strict field validation can catch it.
-        let marker = "\"payload\":";
-        let start = text.find(marker).unwrap() + marker.len();
-        let payload = &text[start..text.len() - 1];
+        let payload = ckpt.payload_json();
         let evil = payload.replacen("{\"tasks\"", "{\"extra\":1,\"tasks\"", 1);
-        let doc = format!(
-            "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"checksum\":\"{:016x}\",\"payload\":{evil}}}",
-            checksum(evil.as_bytes())
-        );
+        let doc = seal(CHECKPOINT_SCHEMA, &evil);
         assert!(matches!(
             Checkpoint::parse_json(&doc),
             Err(CheckpointError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn a_task_count_whose_square_overflows_is_refused() {
+        let payload = sample().payload_json();
+        let huge = payload.replacen("\"tasks\":3", "\"tasks\":4294967296", 1);
+        assert!(matches!(
+            Checkpoint::parse_json(&seal(CHECKPOINT_SCHEMA, &huge)),
+            Err(CheckpointError::Malformed {
+                context: "payload.history",
+                ..
+            })
         ));
     }
 
@@ -876,7 +773,6 @@ mod tests {
     #[test]
     fn doctored_words_fail_the_fingerprint_check() {
         let ckpt = sample();
-        let text = ckpt.to_json();
         // Replace hypothesis 0's words with bottom's (valid shape, wrong
         // fingerprint), re-stamping the checksum.
         let bottom_word = format!(
@@ -884,15 +780,10 @@ mod tests {
             DependencyFunction::bottom(3).packed_words()[0]
         );
         let own_word = format!("\"{:016x}\"", ckpt.hypotheses[0].packed_words()[0]);
-        let marker = "\"payload\":";
-        let start = text.find(marker).unwrap() + marker.len();
-        let payload = &text[start..text.len() - 1];
+        let payload = ckpt.payload_json();
         let evil = payload.replacen(own_word.as_str(), bottom_word.as_str(), 1);
         assert_ne!(evil, payload);
-        let doc = format!(
-            "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"checksum\":\"{:016x}\",\"payload\":{evil}}}",
-            checksum(evil.as_bytes())
-        );
+        let doc = seal(CHECKPOINT_SCHEMA, &evil);
         assert!(matches!(
             Checkpoint::parse_json(&doc),
             Err(CheckpointError::FingerprintMismatch { index: 0, .. })

@@ -964,7 +964,10 @@ mod tests {
     fn wall_clock_budget_trips() {
         let trace = mixed_trace();
         let options = LearnOptions::bounded(8)
-            .with_budget(Budget::unlimited().with_max_wall_clock(Duration::ZERO))
+            .with_budget(Budget {
+                max_wall_clock: Some(Duration::ZERO),
+                ..Budget::unlimited()
+            })
             .with_on_inconsistent(OnInconsistent::SkipPeriod);
         let result = robust_learn(&trace, options).unwrap();
         assert_eq!(result.stats().periods, 0);

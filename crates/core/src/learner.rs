@@ -582,7 +582,8 @@ impl Learner {
     /// [`LearnError::UniverseMismatch`] on task-count mismatch;
     /// [`LearnError::Inconsistent`] if every hypothesis matched the
     /// negative period (the positive and negative observations cannot be
-    /// reconciled within the hypothesis language).
+    /// reconciled within the hypothesis language). On either error the
+    /// hypothesis set is left unchanged.
     pub fn observe_negative(&mut self, period: &Period) -> Result<usize, LearnError> {
         if period.universe() != self.tasks {
             return Err(LearnError::UniverseMismatch {
@@ -590,16 +591,21 @@ impl Learner {
                 actual: period.universe(),
             });
         }
-        let before = self.hypotheses.len();
-        self.hypotheses
-            .retain(|h| !crate::matching::matches_period(h, period));
-        if self.hypotheses.is_empty() {
+        let matched: Vec<bool> = self
+            .hypotheses
+            .iter()
+            .map(|h| crate::matching::matches_period(h, period))
+            .collect();
+        let eliminated = matched.iter().filter(|&&m| m).count();
+        if eliminated == matched.len() {
             return Err(LearnError::Inconsistent {
                 period: period.index(),
                 message: None,
             });
         }
-        Ok(before - self.hypotheses.len())
+        let mut matched = matched.into_iter();
+        self.hypotheses.retain(|_| matched.next() == Some(false));
+        Ok(eliminated)
     }
 
     /// Post-processing: strips the period's assumptions from `set`,
@@ -1014,6 +1020,7 @@ mod tests {
         let empty = b.finish();
         let err = learner.observe_negative(&empty.periods()[0]).unwrap_err();
         assert!(matches!(err, LearnError::Inconsistent { .. }));
+        assert_eq!(learner.len(), 3, "the error leaves the set unchanged");
     }
 
     #[test]

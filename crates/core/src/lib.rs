@@ -68,8 +68,7 @@ pub use cache::{
     CORPUS_SCHEMA,
 };
 pub use checkpoint::{
-    antichain_fingerprint, payload_checksum, seal_document, Checkpoint, CheckpointError,
-    CHECKPOINT_SCHEMA,
+    antichain_fingerprint, seal, unseal, Checkpoint, CheckpointError, CHECKPOINT_SCHEMA,
 };
 pub use convergence::{convergence_timeline, convergence_timeline_with, ConvergencePoint};
 pub use error::LearnError;

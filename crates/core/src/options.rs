@@ -48,24 +48,11 @@ impl Budget {
         Budget::default()
     }
 
-    /// `true` when neither limit is set.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.max_steps.is_none() && self.max_wall_clock.is_none()
-    }
-
     /// Returns `self` with a step limit (`None` removes it; zero is
     /// rejected as `None` would be ambiguous, use `max_steps` directly).
     #[must_use]
     pub fn with_max_steps(mut self, steps: usize) -> Self {
         self.max_steps = NonZeroUsize::new(steps);
-        self
-    }
-
-    /// Returns `self` with a wall-clock limit.
-    #[must_use]
-    pub fn with_max_wall_clock(mut self, limit: Duration) -> Self {
-        self.max_wall_clock = Some(limit);
         self
     }
 }
@@ -334,7 +321,7 @@ mod set_limit_tests {
     fn degradation_options_default_off() {
         let o = LearnOptions::default();
         assert_eq!(o.on_inconsistent, OnInconsistent::Abort);
-        assert!(o.budget.is_unlimited());
+        assert_eq!(o.budget, Budget::unlimited());
         let o = o
             .with_on_inconsistent(OnInconsistent::SkipPeriod)
             .with_budget(Budget::unlimited().with_max_steps(100));

@@ -93,21 +93,10 @@ impl<N, E> DiGraph<N, E> {
         self.nodes.len()
     }
 
-    /// Number of edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// The weight of node `ix`.
     #[must_use]
     pub fn node(&self, ix: NodeIx) -> &N {
         &self.nodes[ix.0]
-    }
-
-    /// Mutable access to the weight of node `ix`.
-    pub fn node_mut(&mut self, ix: NodeIx) -> &mut N {
-        &mut self.nodes[ix.0]
     }
 
     /// The weight of edge `ix`.
@@ -138,23 +127,6 @@ impl<N, E> DiGraph<N, E> {
         self.out[ix.0].iter().map(move |&e| self.edges[e.0].to)
     }
 
-    /// Predecessors of `ix` (one entry per incoming edge).
-    pub fn predecessors(&self, ix: NodeIx) -> impl Iterator<Item = NodeIx> + '_ {
-        self.inc[ix.0].iter().map(move |&e| self.edges[e.0].from)
-    }
-
-    /// Outgoing edge indices of `ix`.
-    #[must_use]
-    pub fn out_edges(&self, ix: NodeIx) -> &[EdgeIx] {
-        &self.out[ix.0]
-    }
-
-    /// Incoming edge indices of `ix`.
-    #[must_use]
-    pub fn in_edges(&self, ix: NodeIx) -> &[EdgeIx] {
-        &self.inc[ix.0]
-    }
-
     /// Out-degree of `ix`.
     #[must_use]
     pub fn out_degree(&self, ix: NodeIx) -> usize {
@@ -165,17 +137,6 @@ impl<N, E> DiGraph<N, E> {
     #[must_use]
     pub fn in_degree(&self, ix: NodeIx) -> usize {
         self.inc[ix.0].len()
-    }
-
-    /// Whether an edge `from → to` exists.
-    #[must_use]
-    pub fn has_edge(&self, from: NodeIx, to: NodeIx) -> bool {
-        self.out[from.0].iter().any(|&e| self.edges[e.0].to == to)
-    }
-
-    /// Finds the index of a node by predicate on its weight.
-    pub fn find_node<P: FnMut(&N) -> bool>(&self, pred: P) -> Option<NodeIx> {
-        self.nodes.iter().position(pred).map(NodeIx)
     }
 }
 
@@ -200,7 +161,7 @@ mod tests {
     fn counts_and_weights() {
         let (g, [a, _, _, d]) = diamond();
         assert_eq!(g.node_count(), 4);
-        assert_eq!(g.edge_count(), 4);
+        assert_eq!(g.edge_indices().count(), 4);
         assert_eq!(*g.node(a), 'a');
         assert_eq!(*g.edge(EdgeIx(3)), 4);
         assert_eq!(g.endpoints(EdgeIx(3)), (NodeIx(2), d));
@@ -211,20 +172,8 @@ mod tests {
         let (g, [a, b, c, d]) = diamond();
         let succ: Vec<_> = g.successors(a).collect();
         assert_eq!(succ, vec![b, c]);
-        let pred: Vec<_> = g.predecessors(d).collect();
-        assert_eq!(pred, vec![b, c]);
         assert_eq!(g.out_degree(a), 2);
         assert_eq!(g.in_degree(d), 2);
-        assert!(g.has_edge(a, b));
-        assert!(!g.has_edge(b, a));
-    }
-
-    #[test]
-    fn node_mut_and_find() {
-        let (mut g, [_, b, _, _]) = diamond();
-        *g.node_mut(b) = 'B';
-        assert_eq!(g.find_node(|&n| n == 'B'), Some(b));
-        assert_eq!(g.find_node(|&n| n == 'z'), None);
     }
 
     #[test]
@@ -243,7 +192,7 @@ mod tests {
         g.add_edge(a, b, 0);
         g.add_edge(a, b, 1);
         g.add_edge(a, a, 2);
-        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.edge_indices().count(), 3);
         assert_eq!(g.successors(a).count(), 3);
     }
 }

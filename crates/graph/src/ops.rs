@@ -1,5 +1,5 @@
 //! Graph algorithms: topological sort, reachability, transitive
-//! closure/reduction.
+//! closure.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -46,14 +46,6 @@ impl<N, E> DiGraph<N, E> {
         seen
     }
 
-    /// Whether `to` is reachable from `from` via one or more edges (a path
-    /// of length zero does not count).
-    #[must_use]
-    pub fn has_path(&self, from: NodeIx, to: NodeIx) -> bool {
-        self.successors(from)
-            .any(|s| s == to || self.reachable_from(s).contains(&to))
-    }
-
     /// The transitive closure as a boolean adjacency matrix:
     /// `closure[i][j]` is `true` iff node `j` is reachable from node `i`
     /// via at least one edge.
@@ -79,35 +71,6 @@ impl<N, E> DiGraph<N, E> {
             }
         }
         m
-    }
-
-    /// The edges of the transitive reduction of a DAG: the minimal edge set
-    /// with the same reachability relation. Duplicate edges are collapsed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is cyclic.
-    #[must_use]
-    pub fn transitive_reduction(&self) -> Vec<(NodeIx, NodeIx)> {
-        assert!(!self.is_cyclic(), "transitive reduction requires a DAG");
-        let closure = self.transitive_closure();
-        let mut direct: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for e in self.edge_indices() {
-            let (from, to) = self.endpoints(e);
-            if from != to {
-                direct.insert((from.0, to.0));
-            }
-        }
-        direct
-            .iter()
-            .filter(|&&(i, j)| {
-                // Keep (i, j) unless some other successor k of i reaches j.
-                !direct
-                    .iter()
-                    .any(|&(i2, k)| i2 == i && k != j && closure[k][j])
-            })
-            .map(|&(i, j)| (NodeIx(i), NodeIx(j)))
-            .collect()
     }
 
     /// Source nodes (in-degree zero).
@@ -161,10 +124,6 @@ mod tests {
         let g = chain(4);
         let r = g.reachable_from(NodeIx(1));
         assert_eq!(r, [1, 2, 3].iter().map(|&i| NodeIx(i)).collect());
-        assert!(g.has_path(NodeIx(0), NodeIx(3)));
-        assert!(!g.has_path(NodeIx(3), NodeIx(0)));
-        // has_path requires at least one edge.
-        assert!(!g.has_path(NodeIx(3), NodeIx(3)));
     }
 
     #[test]
@@ -182,31 +141,6 @@ mod tests {
         assert!(m[a.0][d.0]);
         assert!(!m[d.0][a.0]);
         assert!(!m[b.0][c.0]);
-    }
-
-    #[test]
-    fn reduction_removes_shortcut_edges() {
-        let mut g = chain(3);
-        g.add_edge(NodeIx(0), NodeIx(2), ()); // shortcut 0 -> 2
-        let reduced = g.transitive_reduction();
-        assert_eq!(
-            reduced,
-            vec![(NodeIx(0), NodeIx(1)), (NodeIx(1), NodeIx(2))]
-        );
-    }
-
-    #[test]
-    fn reduction_keeps_required_edges() {
-        let g = chain(4);
-        assert_eq!(g.transitive_reduction().len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a DAG")]
-    fn reduction_rejects_cycles() {
-        let mut g = chain(2);
-        g.add_edge(NodeIx(1), NodeIx(0), ());
-        let _ = g.transitive_reduction();
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! so changing one word moves it by two mixes. The index map places it
 //! with one more splitmix64 round under a per-map random key. The persisted
 //! [`DependencyFunction::fingerprint`] is a serial fold over every word,
-//! which a child could only get by rehashing its whole row;
-//! [`fingerprint`](FunctionArena::fingerprint) computes it on demand.
+//! which a child could only get by rehashing its whole row, so the arena
+//! does not keep it.
 //!
 //! Read-only sweeps take `&self`, so the learner can wrap an arena in an
 //! `Arc` and let pool workers scan or branch from disjoint index ranges
@@ -44,7 +44,7 @@ use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
-use crate::function::{fingerprint_words, DependencyFunction};
+use crate::function::DependencyFunction;
 use crate::packed::{
     encode, word_join, word_leq, word_weaken, word_weight, BITS_PER_CELL, CELLS_PER_WORD,
     CELL_MASK, CODE_DISTANCE,
@@ -77,7 +77,6 @@ const UNHASHED: u32 = u32::MAX - 1;
 /// let mut arena = FunctionArena::new(4);
 /// let ia = arena.push(&a);
 /// let ib = arena.push(&b);
-/// assert!(arena.leq(ia, ib));
 /// assert_eq!(arena.weight(ia), a.weight());
 /// assert_eq!(arena.get(ia), a);
 /// ```
@@ -133,23 +132,6 @@ impl FunctionArena {
     #[must_use]
     pub fn empty_like(&self) -> Self {
         Self::with_row_words(self.tasks, self.row_words - self.stride)
-    }
-
-    /// Builds a plain arena holding every function of `set`, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a function is over a different task universe.
-    #[must_use]
-    pub fn from_functions<'a, I>(tasks: usize, set: I) -> Self
-    where
-        I: IntoIterator<Item = &'a DependencyFunction>,
-    {
-        let mut arena = Self::new(tasks);
-        for d in set {
-            arena.push(d);
-        }
-        arena
     }
 
     /// Number of tasks of the shared universe.
@@ -230,14 +212,6 @@ impl FunctionArena {
     #[must_use]
     pub fn weight(&self, i: usize) -> u64 {
         self.weights[i]
-    }
-
-    /// The fingerprint of the whole row `i`, pair set included. For plain
-    /// rows it equals the function's [`DependencyFunction::fingerprint`].
-    /// Computed on demand: the dedup index keys on the cheaper row hash.
-    #[must_use]
-    pub fn fingerprint(&self, i: usize) -> u64 {
-        fingerprint_words(self.tasks, self.slot(i))
     }
 
     /// Row `i`'s hash: the cached one, or computed now if it is deferred.
@@ -541,16 +515,6 @@ impl FunctionArena {
             .expect("arena rows are valid packed stores by construction")
     }
 
-    /// Pointwise order between two stored functions: `i ⊑ j`.
-    #[inline]
-    #[must_use]
-    pub fn leq(&self, i: usize, j: usize) -> bool {
-        self.row(i)
-            .iter()
-            .zip(self.row(j))
-            .all(|(&a, &b)| word_leq(a, b))
-    }
-
     /// Whether stored function `i` is *strictly dominated* by any of the
     /// first `prefix` entries: some `j < prefix` with `row(j) ⊑ row(i)`
     /// and a strictly lower cached weight (strict domination strictly
@@ -725,18 +689,7 @@ mod tests {
         for (i, d) in functions.iter().enumerate() {
             assert_eq!(&arena.get(i), d);
             assert_eq!(arena.weight(i), d.weight());
-            assert_eq!(arena.fingerprint(i), d.fingerprint());
         }
-    }
-
-    #[test]
-    fn leq_matches_function_kernel() {
-        let a = scrambled(6, 1);
-        let b = a.join(&scrambled(6, 2));
-        let arena = FunctionArena::from_functions(6, [&a, &b]);
-        assert_eq!(arena.leq(0, 1), a.leq(&b));
-        assert_eq!(arena.leq(1, 0), b.leq(&a));
-        assert!(arena.leq(0, 0) && arena.leq(1, 1));
     }
 
     #[test]
@@ -835,14 +788,14 @@ mod tests {
     fn weaken_refreshes_cached_columns() {
         let mut d = DependencyFunction::bottom(3);
         d.record_message(t(0), t(1));
-        let mut arena = FunctionArena::from_functions(3, [&d]);
+        let mut arena = FunctionArena::new(3);
+        arena.push(&d);
         let executed = crate::TaskSet::from_ids(3, [t(0)]);
         arena.weaken(&crate::packed::weakening_mask(&executed));
         let weakened = arena.get(0);
         assert_eq!(weakened.value(t(0), t(1)), V::MayDetermine);
         assert_eq!(weakened.value(t(1), t(0)), V::DependsOn);
         assert_eq!(arena.weight(0), weakened.weight());
-        assert_eq!(arena.fingerprint(0), weakened.fingerprint());
     }
 
     #[test]
@@ -852,13 +805,18 @@ mod tests {
         let mut above = below.clone();
         above.join_value(t(2), t(3), V::MayDetermine);
         // Weight-sorted order: below, above, then an equal copy of above.
-        let arena = FunctionArena::from_functions(4, [&below, &above, &above]);
+        let mut arena = FunctionArena::new(4);
+        for d in [&below, &above, &above] {
+            arena.push(d);
+        }
         assert!(!arena.dominated_in_prefix(0, 0), "no prefix, no dominator");
         assert!(arena.dominated_in_prefix(1, 1), "below ⊑ above strictly");
         // An equal entry is not a *strict* dominator, but the earlier
         // strict one still is.
         assert!(arena.dominated_in_prefix(2, 2));
-        let arena_eq = FunctionArena::from_functions(4, [&above, &above]);
+        let mut arena_eq = FunctionArena::new(4);
+        arena_eq.push(&above);
+        arena_eq.push(&above);
         assert!(
             !arena_eq.dominated_in_prefix(1, 1),
             "equal weight cannot strictly dominate"

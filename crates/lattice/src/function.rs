@@ -62,7 +62,7 @@ fn words_for(tasks: usize) -> usize {
 /// so bottoms of different sizes differ: the fingerprint of a packed store
 /// and, pair set included, of a [`FunctionArena`](crate::FunctionArena)
 /// row.
-pub(crate) fn fingerprint_words(tasks: usize, words: &[u64]) -> u64 {
+fn fingerprint_words(tasks: usize, words: &[u64]) -> u64 {
     let mut h = (tasks as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     for &w in words {
         h ^= w;
@@ -414,13 +414,6 @@ impl DependencyFunction {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Whether this is the top hypothesis `d⊤`.
-    #[must_use]
-    pub fn is_top(&self) -> bool {
-        self.ordered_pairs()
-            .all(|(t1, t2, v)| t1 == t2 || v == DependencyValue::MayMutual)
-    }
-
     /// Iterates over all ordered pairs `(t1, t2, d(t1, t2))`, including the
     /// diagonal.
     #[must_use]
@@ -529,7 +522,6 @@ mod tests {
     fn bottom_is_bottom() {
         let d = DependencyFunction::bottom(3);
         assert!(d.is_bottom());
-        assert!(!d.is_top());
         assert_eq!(d.weight(), 0);
         for (_, _, v) in d.ordered_pairs() {
             assert_eq!(v, V::Parallel);
@@ -540,7 +532,6 @@ mod tests {
     fn top_is_top_and_everything_is_between() {
         let bot = DependencyFunction::bottom(4);
         let top = DependencyFunction::top(4);
-        assert!(top.is_top());
         assert!(bot.leq(&top));
         let mut mid = DependencyFunction::bottom(4);
         mid.record_message(t(0), t(1));

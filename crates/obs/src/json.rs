@@ -1,5 +1,5 @@
-//! Minimal JSON support: an escaping writer, a value renderer, and a
-//! strict recursive-descent parser.
+//! Minimal JSON support: an escaping writer, a value renderer, a strict
+//! recursive-descent parser, and one strict object reader.
 //!
 //! The workspace bans external runtime dependencies, so the JSONL event
 //! sink, the metrics snapshot, and the Chrome-trace exporter serialize by
@@ -8,8 +8,16 @@
 //! parses every document through [`parse`]. The parser covers the full
 //! JSON grammar and runs in time linear in the document, so it also
 //! decodes checkpoints and serve feeds of any size. It recurses on
-//! nesting depth (capped) and keeps object keys in document order so
-//! strict schema validation can report *which* field is unknown.
+//! nesting depth (capped) and keeps object keys in document order.
+//!
+//! Every document `bbmg` writes and reads back (checkpoints, rosters,
+//! health and metrics snapshots, corpus reports, benchmark artifacts) is
+//! decoded through [`fields`]: an object must hold exactly its schema's
+//! keys in writer order, and a refusal names the first unknown, missing,
+//! duplicate or out-of-order key. The typed [`Field`] reads accept only
+//! what the writers emit: integers below 2^64, and 64-bit values as 16
+//! lower-case hex digits ([`hex_u64`]). The serve protocol's
+//! `parse_line` alone stays tolerant of extra fields, by design.
 
 use std::fmt;
 
@@ -53,12 +61,17 @@ impl Json {
         }
     }
 
-    /// The numeric value as a `u64`, if this is a non-negative integer.
+    /// The numeric value as a `u64`, if this is a non-negative integer
+    /// below 2^64. Numbers are `f64`s, so values above 2^53 arrive
+    /// rounded; documents carry exact 64-bit values as [`hex_u64`]
+    /// strings instead.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
+        /// 2^64, the first integer a `u64` cannot hold (exact as `f64`).
+        const LIMIT: f64 = 18_446_744_073_709_551_616.0;
         match self {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Number(n) if *n >= 0.0 && *n < LIMIT && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
@@ -409,6 +422,201 @@ impl Parser<'_> {
     }
 }
 
+/// Why [`fields`] refused an object, or a [`Field`] read its value. Key
+/// problems name the first key out of place, so each decoder can map
+/// them onto its own error variants.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FieldError {
+    /// The value is not an object.
+    NotObject,
+    /// A key the schema does not define.
+    Unknown(String),
+    /// A schema key the object lacks.
+    Missing(&'static str),
+    /// A schema key the object repeats.
+    Duplicate(&'static str),
+    /// A schema key ahead of its place in writer order.
+    OutOfOrder(&'static str),
+    /// A value of the wrong kind or range.
+    Value {
+        /// The field's key.
+        key: &'static str,
+        /// What the value must be, e.g. `a boolean`.
+        expected: &'static str,
+    },
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FieldError::NotObject => write!(f, "expected an object"),
+            FieldError::Unknown(key) => write!(f, "unknown field `{key}`"),
+            FieldError::Missing(key) => write!(f, "missing field `{key}`"),
+            FieldError::Duplicate(key) => write!(f, "duplicate field `{key}`"),
+            FieldError::OutOfOrder(key) => write!(f, "field `{key}` is out of order"),
+            FieldError::Value { key, expected } => write!(f, "field `{key}` is not {expected}"),
+        }
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+/// Checks that `value` is an object holding exactly `keys`, in that
+/// order, and returns its values paired with their keys. Accepting an
+/// object takes one forward pass over its keys; only a refused one is
+/// scanned again, to name the first key out of place.
+///
+/// # Errors
+///
+/// [`FieldError::NotObject`], or the first unknown, missing, duplicate
+/// or out-of-order key.
+pub fn fields<'a, const N: usize>(
+    value: &'a Json,
+    keys: [&'static str; N],
+) -> Result<[Field<'a>; N], FieldError> {
+    let Json::Object(found) = value else {
+        return Err(FieldError::NotObject);
+    };
+    if found.len() != N || found.iter().zip(keys).any(|((key, _), want)| key != want) {
+        return Err(misplaced(found, &keys));
+    }
+    Ok(std::array::from_fn(|i| Field {
+        key: keys[i],
+        value: &found[i].1,
+    }))
+}
+
+/// The first key of `found` that breaks the sequence `keys`.
+fn misplaced(found: &[(String, Json)], keys: &[&'static str]) -> FieldError {
+    let agree = found
+        .iter()
+        .zip(keys)
+        .take_while(|((key, _), want)| key == *want)
+        .count();
+    let Some((key, _)) = found.get(agree) else {
+        return FieldError::Missing(keys[agree]);
+    };
+    match keys.iter().position(|want| want == key) {
+        None => FieldError::Unknown(key.clone()),
+        Some(at) if at < agree => FieldError::Duplicate(keys[at]),
+        // A later key came early: the expected one is out of order if it
+        // still follows, and missing if not.
+        Some(at) if found[agree..].iter().any(|(key, _)| key == keys[agree]) => {
+            FieldError::OutOfOrder(keys[at])
+        }
+        Some(_) => FieldError::Missing(keys[agree]),
+    }
+}
+
+/// One value of an object [`fields`] accepted, with its schema key. Each
+/// typed read returns [`FieldError::Value`], naming the key, for a value
+/// of another kind.
+#[derive(Debug, Clone, Copy)]
+pub struct Field<'a> {
+    /// The schema key.
+    pub key: &'static str,
+    /// The value stored under it.
+    pub value: &'a Json,
+}
+
+impl<'a> Field<'a> {
+    fn read<T>(self, value: Option<T>, expected: &'static str) -> Result<T, FieldError> {
+        value.ok_or(FieldError::Value {
+            key: self.key,
+            expected,
+        })
+    }
+
+    /// The value as a `u64`: an integer below 2^64 ([`Json::as_u64`]).
+    pub fn u64(self) -> Result<u64, FieldError> {
+        self.read(self.value.as_u64(), "a non-negative integer")
+    }
+
+    /// The value as a `usize`, read as [`Field::u64`].
+    pub fn usize(self) -> Result<usize, FieldError> {
+        let value = self.value.as_u64().and_then(|v| usize::try_from(v).ok());
+        self.read(value, "a non-negative integer")
+    }
+
+    /// The value as a `bool`.
+    pub fn bool(self) -> Result<bool, FieldError> {
+        let value = match self.value {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        };
+        self.read(value, "a boolean")
+    }
+
+    /// The value as a string.
+    pub fn str(self) -> Result<&'a str, FieldError> {
+        self.read(self.value.as_str(), "a string")
+    }
+
+    /// The value as an `f64`.
+    pub fn f64(self) -> Result<f64, FieldError> {
+        self.read(self.value.as_f64(), "a number")
+    }
+
+    /// The value's items, if it is an array, each read as a field under
+    /// this key.
+    pub fn array(self) -> Result<impl ExactSizeIterator<Item = Field<'a>>, FieldError> {
+        let items = match self.value {
+            Json::Array(items) => Some(items.iter()),
+            _ => None,
+        };
+        let key = self.key;
+        Ok(self
+            .read(items, "an array")?
+            .map(move |value| Field { key, value }))
+    }
+
+    /// The value's fields, read by [`fields`] against `keys`.
+    pub fn object<const N: usize>(
+        self,
+        keys: [&'static str; N],
+    ) -> Result<[Field<'a>; N], FieldError> {
+        match fields(self.value, keys) {
+            Err(FieldError::NotObject) => self.read(None, "an object"),
+            read => read,
+        }
+    }
+
+    /// The value as a `u64` spelled in 16 lower-case hex digits
+    /// ([`hex_u64`]).
+    pub fn hex(self) -> Result<u64, FieldError> {
+        self.read(
+            self.value.as_str().and_then(hex_u64),
+            "16 lower-case hex digits",
+        )
+    }
+
+    /// `None` for `null`, else this field: the reader of optional values.
+    #[must_use]
+    pub fn non_null(self) -> Option<Self> {
+        match self.value {
+            Json::Null => None,
+            _ => Some(self),
+        }
+    }
+}
+
+/// Reads a `u64` spelled as exactly 16 lower-case hex digits, the only
+/// spelling our writers use (`{:016x}`), in one scan over the bytes.
+#[must_use]
+pub fn hex_u64(text: &str) -> Option<u64> {
+    if text.len() != 16 {
+        return None;
+    }
+    text.bytes().try_fold(0, |sum: u64, byte| {
+        let digit = match byte {
+            b'0'..=b'9' => byte - b'0',
+            b'a'..=b'f' => byte - b'a' + 10,
+            _ => return None,
+        };
+        Some(sum << 4 | u64::from(digit))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,6 +699,82 @@ mod tests {
         assert_eq!(Json::Number(3.0).as_u64(), Some(3));
         assert_eq!(Json::Number(3.5).as_u64(), None);
         assert_eq!(Json::Number(-1.0).as_u64(), None);
+        // At and above 2^64 nothing saturates to `u64::MAX`.
+        for text in ["1e30", "18446744073709551616", "1e300"] {
+            assert_eq!(parse(text).unwrap().as_u64(), None, "{text}");
+        }
+        // The largest `f64` below 2^64 still reads.
+        let below = parse("18446744073709549568").unwrap();
+        assert_eq!(below.as_u64(), Some(18_446_744_073_709_549_568));
+    }
+
+    const KEYS: [&str; 3] = ["a", "b", "c"];
+
+    #[test]
+    fn fields_require_exactly_the_keys_in_order() {
+        let doc = parse(r#"{"a":1,"b":"x","c":[true]}"#).unwrap();
+        let [a, b, c] = fields(&doc, KEYS).unwrap();
+        assert_eq!((a.key, a.u64(), a.usize()), ("a", Ok(1), Ok(1)));
+        assert_eq!(b.str(), Ok("x"));
+        let items: Vec<_> = c.array().unwrap().map(Field::bool).collect();
+        assert_eq!(items, [Ok(true)]);
+        for (doc, error) in [
+            (r#"{"a":1,"b":2,"x":3}"#, FieldError::Unknown("x".into())),
+            (
+                r#"{"a":1,"b":2,"c":3,"d":4}"#,
+                FieldError::Unknown("d".into()),
+            ),
+            (r#"{"a":1,"b":2}"#, FieldError::Missing("c")),
+            (r#"{"a":1,"c":3}"#, FieldError::Missing("b")),
+            (r#"{"a":1,"a":1,"b":2,"c":3}"#, FieldError::Duplicate("a")),
+            (r#"{"a":1,"b":2,"c":3,"b":2}"#, FieldError::Duplicate("b")),
+            (r#"{"a":1,"c":3,"b":2}"#, FieldError::OutOfOrder("c")),
+            (r#"{"b":2,"a":1,"c":3}"#, FieldError::OutOfOrder("b")),
+            ("[1,2,3]", FieldError::NotObject),
+        ] {
+            let refused = fields(&parse(doc).unwrap(), KEYS).err();
+            assert_eq!(refused, Some(error), "{doc}");
+        }
+    }
+
+    #[test]
+    fn field_reads_refuse_the_wrong_kind() {
+        let doc = parse(r#"{"a":1e30,"b":null,"c":{"x":"00000000000000ff"}}"#).unwrap();
+        let [a, b, c] = fields(&doc, KEYS).unwrap();
+        let refused = |key, expected| Some(FieldError::Value { key, expected });
+        assert_eq!(a.u64().err(), refused("a", "a non-negative integer"));
+        assert_eq!(a.f64(), Ok(1e30));
+        assert_eq!(a.bool().err(), refused("a", "a boolean"));
+        assert_eq!(a.hex().err(), refused("a", "16 lower-case hex digits"));
+        assert!(b.non_null().is_none() && a.non_null().is_some());
+        assert_eq!(
+            b.array().err().map(|e| e.to_string()),
+            Some("field `b` is not an array".into())
+        );
+        assert_eq!(a.object(["x"]).err(), refused("a", "an object"));
+        let [x] = c.object(["x"]).unwrap();
+        assert_eq!(x.hex(), Ok(255));
+        let unknown = c.object(["y"]).err();
+        assert_eq!(unknown, Some(FieldError::Unknown("x".into())));
+        let message = refused("a", "a boolean").map(|e| e.to_string());
+        assert_eq!(message.as_deref(), Some("field `a` is not a boolean"));
+    }
+
+    #[test]
+    fn hex_is_sixteen_lower_case_digits() {
+        assert_eq!(hex_u64("00000000000000ff"), Some(255));
+        assert_eq!(hex_u64("ffffffffffffffff"), Some(u64::MAX));
+        assert_eq!(hex_u64("0123456789abcdef"), Some(0x0123_4567_89ab_cdef));
+        for text in [
+            "00000000000000FF",
+            "+00000000000000f",
+            "00000000000000f",
+            "000000000000000ff",
+            "00000000000000fg",
+            "",
+        ] {
+            assert_eq!(hex_u64(text), None, "{text}");
+        }
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! sample buffers as they arrive; [`Metrics::snapshot`] freezes them into a
 //! [`MetricsSnapshot`] with nearest-rank p50/p95/max summaries. The
 //! snapshot serializes to a stable JSON schema (`bbmg-metrics/2`) and
-//! parses back **strictly** — unknown or missing fields are errors — which
-//! is what the CI schema-validation step runs against emitted files.
+//! parses back **strictly** through the shared reader
+//! [`json::fields`](crate::json::fields): unknown, missing, duplicate and
+//! reordered fields are errors. The CI schema-validation step runs that
+//! parse against emitted files.
 //!
 //! `bbmg-metrics/2` superseded `/1` by adding `uptime_us` (wall-clock age
 //! of the collector when the snapshot was taken) and `seq` (a monotonic
@@ -17,7 +19,7 @@ use std::fmt;
 use std::time::Instant;
 
 use crate::event::Event;
-use crate::json::{parse, Json, JsonParseError};
+use crate::json::{fields, parse, Field, FieldError, JsonParseError};
 use crate::observer::Observer;
 
 /// Schema identifier embedded in every metrics JSON document.
@@ -125,154 +127,61 @@ impl MetricsSnapshot {
         )
     }
 
-    /// Strictly parses a `bbmg-metrics/2` document: every field must be
-    /// present, no field may be unknown, the schema tag must match.
+    /// Strictly parses a `bbmg-metrics/2` document through
+    /// [`json::fields`](crate::json::fields): exactly the writer's fields
+    /// in the writer's order, and the schema tag must match.
     ///
     /// # Errors
     ///
     /// [`MetricsParseError`] naming the offending field or JSON error.
     pub fn parse_json(text: &str) -> Result<Self, MetricsParseError> {
         let root = parse(text)?;
-        let Json::Object(fields) = &root else {
-            return Err(MetricsParseError::Schema(
-                "document is not an object".into(),
-            ));
-        };
-        let mut snapshot = MetricsSnapshot::default();
-        let mut seen: Vec<&str> = Vec::new();
-        for (key, value) in fields {
-            let known = match key.as_str() {
-                "schema" => {
-                    if value.as_str() != Some(METRICS_SCHEMA) {
-                        return Err(MetricsParseError::Schema(format!(
-                            "unsupported schema tag {value:?}"
-                        )));
-                    }
-                    "schema"
-                }
-                "periods" => set_usize(&mut snapshot.periods, key, value)?,
-                "messages" => set_usize(&mut snapshot.messages, key, value)?,
-                "hypotheses_generated" => {
-                    set_usize(&mut snapshot.hypotheses_generated, key, value)?
-                }
-                "merges" => set_usize(&mut snapshot.merges, key, value)?,
-                "quarantines" => set_usize(&mut snapshot.quarantines, key, value)?,
-                "repairs" => set_usize(&mut snapshot.repairs, key, value)?,
-                "faults" => set_usize(&mut snapshot.faults, key, value)?,
-                "fallbacks" => set_usize(&mut snapshot.fallbacks, key, value)?,
-                "budget_ticks" => set_usize(&mut snapshot.budget_ticks, key, value)?,
-                "set_size" => {
-                    snapshot.set_size = parse_summary(key, value)?;
-                    "set_size"
-                }
-                "branch_factor" => {
-                    snapshot.branch_factor = parse_summary(key, value)?;
-                    "branch_factor"
-                }
-                "period_micros" => {
-                    snapshot.period_micros = parse_summary(key, value)?;
-                    "period_micros"
-                }
-                "total_micros" => {
-                    snapshot.total_micros = require_u64(key, value)?;
-                    "total_micros"
-                }
-                "uptime_us" => {
-                    snapshot.uptime_us = require_u64(key, value)?;
-                    "uptime_us"
-                }
-                "seq" => {
-                    snapshot.seq = require_u64(key, value)?;
-                    "seq"
-                }
-                other => return Err(MetricsParseError::UnknownField(other.to_owned())),
-            };
-            if seen.contains(&known) {
-                return Err(MetricsParseError::Schema(format!(
-                    "duplicate field `{known}`"
-                )));
-            }
-            seen.push(known);
+        #[rustfmt::skip]
+        let [
+            schema, periods, messages, hypotheses_generated, merges, quarantines, repairs,
+            faults, fallbacks, budget_ticks, set_size, branch_factor, period_micros,
+            total_micros, uptime_us, seq,
+        ] = fields(&root, [
+            "schema", "periods", "messages", "hypotheses_generated", "merges", "quarantines",
+            "repairs", "faults", "fallbacks", "budget_ticks", "set_size", "branch_factor",
+            "period_micros", "total_micros", "uptime_us", "seq",
+        ])?;
+        if schema.value.as_str() != Some(METRICS_SCHEMA) {
+            return Err(MetricsParseError::Schema(format!(
+                "unsupported schema tag {:?}",
+                schema.value
+            )));
         }
-        const REQUIRED: [&str; 16] = [
-            "schema",
-            "periods",
-            "messages",
-            "hypotheses_generated",
-            "merges",
-            "quarantines",
-            "repairs",
-            "faults",
-            "fallbacks",
-            "budget_ticks",
-            "set_size",
-            "branch_factor",
-            "period_micros",
-            "total_micros",
-            "uptime_us",
-            "seq",
-        ];
-        for field in REQUIRED {
-            if !seen.contains(&field) {
-                return Err(MetricsParseError::MissingField(field));
-            }
-        }
-        Ok(snapshot)
+        Ok(MetricsSnapshot {
+            periods: periods.usize()?,
+            messages: messages.usize()?,
+            hypotheses_generated: hypotheses_generated.usize()?,
+            merges: merges.usize()?,
+            quarantines: quarantines.usize()?,
+            repairs: repairs.usize()?,
+            faults: faults.usize()?,
+            fallbacks: fallbacks.usize()?,
+            budget_ticks: budget_ticks.usize()?,
+            set_size: parse_summary(set_size)?,
+            branch_factor: parse_summary(branch_factor)?,
+            period_micros: parse_summary(period_micros)?,
+            total_micros: total_micros.u64()?,
+            uptime_us: uptime_us.u64()?,
+            seq: seq.u64()?,
+        })
     }
 }
 
-fn require_u64(key: &str, value: &Json) -> Result<u64, MetricsParseError> {
-    value.as_u64().ok_or_else(|| {
-        MetricsParseError::Schema(format!("field `{key}` is not a non-negative integer"))
+fn parse_summary(field: Field<'_>) -> Result<Summary, MetricsParseError> {
+    let [p50, p95, max] = field.object(["p50", "p95", "max"]).map_err(|e| match e {
+        FieldError::Unknown(sub) => MetricsParseError::UnknownField(format!("{}.{sub}", field.key)),
+        other => MetricsParseError::Schema(format!("field `{}`: {other}", field.key)),
+    })?;
+    Ok(Summary {
+        p50: p50.u64()?,
+        p95: p95.u64()?,
+        max: max.u64()?,
     })
-}
-
-fn set_usize<'k>(
-    slot: &mut usize,
-    key: &'k str,
-    value: &Json,
-) -> Result<&'k str, MetricsParseError> {
-    *slot = usize::try_from(require_u64(key, value)?)
-        .map_err(|_| MetricsParseError::Schema(format!("field `{key}` overflows usize")))?;
-    Ok(key)
-}
-
-fn parse_summary(key: &str, value: &Json) -> Result<Summary, MetricsParseError> {
-    let Json::Object(fields) = value else {
-        return Err(MetricsParseError::Schema(format!(
-            "field `{key}` is not an object"
-        )));
-    };
-    let mut summary = Summary::default();
-    let mut seen = [false; 3];
-    for (sub, v) in fields {
-        let index = match sub.as_str() {
-            "p50" => {
-                summary.p50 = require_u64(sub, v)?;
-                0
-            }
-            "p95" => {
-                summary.p95 = require_u64(sub, v)?;
-                1
-            }
-            "max" => {
-                summary.max = require_u64(sub, v)?;
-                2
-            }
-            other => return Err(MetricsParseError::UnknownField(format!("{key}.{other}"))),
-        };
-        seen[index] = true;
-    }
-    if let Some(missing) = [("p50", 0), ("p95", 1), ("max", 2)]
-        .iter()
-        .find(|(_, i)| !seen[*i])
-    {
-        return Err(MetricsParseError::Schema(format!(
-            "field `{key}` is missing `{}`",
-            missing.0
-        )));
-    }
-    Ok(summary)
 }
 
 /// Why a metrics document failed strict validation.
@@ -304,6 +213,16 @@ impl std::error::Error for MetricsParseError {}
 impl From<JsonParseError> for MetricsParseError {
     fn from(e: JsonParseError) -> Self {
         MetricsParseError::Json(e)
+    }
+}
+
+impl From<FieldError> for MetricsParseError {
+    fn from(e: FieldError) -> Self {
+        match e {
+            FieldError::Unknown(key) => MetricsParseError::UnknownField(key),
+            FieldError::Missing(key) => MetricsParseError::MissingField(key),
+            other => MetricsParseError::Schema(other.to_string()),
+        }
     }
 }
 

@@ -51,12 +51,6 @@ impl Recorder {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Consumes the recorder, returning the event buffer.
-    #[must_use]
-    pub fn into_events(self) -> Vec<TimedEvent> {
-        self.events
-    }
 }
 
 impl Default for Recorder {
@@ -151,7 +145,6 @@ mod tests {
         let events = rec.events();
         assert_eq!(events.len(), 3);
         assert!(events.windows(2).all(|w| w[0].at_micros <= w[1].at_micros));
-        assert_eq!(rec.clone().into_events().len(), 3);
     }
 
     #[test]

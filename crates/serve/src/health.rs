@@ -19,8 +19,9 @@
 //!             "watermark_words":1048576,"checkpoint_age_periods":7}]}
 //! ```
 //!
-//! Parsing is strict in the `bbmg-metrics` sense: every field required,
-//! unknown and duplicate fields rejected, schema tag matched exactly.
+//! Parsing goes through the shared strict reader
+//! ([`bbmg_obs::json::fields`]): exactly the writer's fields in the
+//! writer's order, schema tag matched exactly.
 //! `seq` is a monotonic snapshot counter and `uptime_us` the registry's
 //! wall-clock age, so two snapshots order and rate-derive; the watermark
 //! headroom is derivable as `watermark_words - memory_words`.
@@ -29,7 +30,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
 
-use bbmg_obs::json::{self, push_escaped, Json, JsonParseError};
+use bbmg_obs::json::{self, push_escaped, Field, FieldError, JsonParseError};
 
 use crate::shard::{ShardSummary, StreamShard};
 
@@ -111,73 +112,29 @@ impl ShardHealth {
         out
     }
 
-    fn parse(value: &Json) -> Result<Self, HealthParseError> {
-        let Json::Object(fields) = value else {
-            return Err(HealthParseError::Schema(
-                "shard entry is not an object".into(),
-            ));
-        };
-        let mut shard = ShardHealth::default();
-        let mut seen: Vec<&str> = Vec::new();
-        for (key, v) in fields {
-            let known = match key.as_str() {
-                "source" => {
-                    shard.source = require_str(key, v)?;
-                    "source"
-                }
-                "state" => {
-                    shard.state = require_str(key, v)?;
-                    "state"
-                }
-                "open" => {
-                    shard.open = match v {
-                        Json::Bool(b) => *b,
-                        _ => {
-                            return Err(HealthParseError::Schema(
-                                "field `open` is not a boolean".into(),
-                            ))
-                        }
-                    };
-                    "open"
-                }
-                "periods" => set_u64(&mut shard.periods, key, v)?,
-                "events" => set_u64(&mut shard.events, key, v)?,
-                "pending_events" => set_u64(&mut shard.pending_events, key, v)?,
-                "shed_periods" => set_u64(&mut shard.shed_periods, key, v)?,
-                "shed_events" => set_u64(&mut shard.shed_events, key, v)?,
-                "restarts" => set_u64(&mut shard.restarts, key, v)?,
-                "memory_words" => set_u64(&mut shard.memory_words, key, v)?,
-                "watermark_words" => set_u64(&mut shard.watermark_words, key, v)?,
-                "checkpoint_age_periods" => set_u64(&mut shard.checkpoint_age_periods, key, v)?,
-                other => return Err(HealthParseError::UnknownField(other.to_owned())),
-            };
-            if seen.contains(&known) {
-                return Err(HealthParseError::Schema(format!(
-                    "duplicate field `{known}`"
-                )));
-            }
-            seen.push(known);
-        }
-        const REQUIRED: [&str; 12] = [
-            "source",
-            "state",
-            "open",
-            "periods",
-            "events",
-            "pending_events",
-            "shed_periods",
-            "shed_events",
-            "restarts",
-            "memory_words",
-            "watermark_words",
-            "checkpoint_age_periods",
-        ];
-        for field in REQUIRED {
-            if !seen.contains(&field) {
-                return Err(HealthParseError::MissingField(field));
-            }
-        }
-        Ok(shard)
+    fn parse(value: Field<'_>) -> Result<Self, HealthParseError> {
+        #[rustfmt::skip]
+        let [
+            source, state, open, periods, events, pending_events, shed_periods, shed_events,
+            restarts, memory_words, watermark_words, checkpoint_age_periods,
+        ] = value.object([
+            "source", "state", "open", "periods", "events", "pending_events", "shed_periods",
+            "shed_events", "restarts", "memory_words", "watermark_words", "checkpoint_age_periods",
+        ])?;
+        Ok(ShardHealth {
+            source: source.str()?.to_owned(),
+            state: state.str()?.to_owned(),
+            open: open.bool()?,
+            periods: periods.u64()?,
+            events: events.u64()?,
+            pending_events: pending_events.u64()?,
+            shed_periods: shed_periods.u64()?,
+            shed_events: shed_events.u64()?,
+            restarts: restarts.u64()?,
+            memory_words: memory_words.u64()?,
+            watermark_words: watermark_words.u64()?,
+            checkpoint_age_periods: checkpoint_age_periods.u64()?,
+        })
     }
 }
 
@@ -216,78 +173,34 @@ impl HealthSnapshot {
         out
     }
 
-    /// Strictly parses a `bbmg-health/1` document: every field must be
-    /// present, no field may be unknown, the schema tag must match.
+    /// Strictly parses a `bbmg-health/1` document through
+    /// [`json::fields`]: exactly the writer's fields in the writer's
+    /// order, and the schema tag must match.
     ///
     /// # Errors
     ///
     /// [`HealthParseError`] naming the offending field or JSON error.
     pub fn parse_json(text: &str) -> Result<Self, HealthParseError> {
         let root = json::parse(text)?;
-        let Json::Object(fields) = &root else {
-            return Err(HealthParseError::Schema("document is not an object".into()));
-        };
-        let mut snapshot = HealthSnapshot::default();
-        let mut seen: Vec<&str> = Vec::new();
-        for (key, value) in fields {
-            let known = match key.as_str() {
-                "schema" => {
-                    if value.as_str() != Some(HEALTH_SCHEMA) {
-                        return Err(HealthParseError::Schema(format!(
-                            "unsupported schema tag {value:?}"
-                        )));
-                    }
-                    "schema"
-                }
-                "seq" => set_u64(&mut snapshot.seq, key, value)?,
-                "uptime_us" => set_u64(&mut snapshot.uptime_us, key, value)?,
-                "lines" => set_u64(&mut snapshot.lines, key, value)?,
-                "shards" => {
-                    let Json::Array(items) = value else {
-                        return Err(HealthParseError::Schema(
-                            "field `shards` is not an array".into(),
-                        ));
-                    };
-                    snapshot.shards = items
-                        .iter()
-                        .map(ShardHealth::parse)
-                        .collect::<Result<Vec<_>, _>>()?;
-                    "shards"
-                }
-                other => return Err(HealthParseError::UnknownField(other.to_owned())),
-            };
-            if seen.contains(&known) {
-                return Err(HealthParseError::Schema(format!(
-                    "duplicate field `{known}`"
-                )));
-            }
-            seen.push(known);
+        let [schema, seq, uptime_us, lines, shards] =
+            json::fields(&root, ["schema", "seq", "uptime_us", "lines", "shards"])?;
+        if schema.value.as_str() != Some(HEALTH_SCHEMA) {
+            return Err(HealthParseError::Schema(format!(
+                "unsupported schema tag {:?}",
+                schema.value
+            )));
         }
-        for field in ["schema", "seq", "uptime_us", "lines", "shards"] {
-            if !seen.contains(&field) {
-                return Err(HealthParseError::MissingField(field));
-            }
-        }
-        Ok(snapshot)
+        let shards = shards
+            .array()?
+            .map(ShardHealth::parse)
+            .collect::<Result<_, _>>()?;
+        Ok(HealthSnapshot {
+            seq: seq.u64()?,
+            uptime_us: uptime_us.u64()?,
+            lines: lines.u64()?,
+            shards,
+        })
     }
-}
-
-fn require_u64(key: &str, value: &Json) -> Result<u64, HealthParseError> {
-    value.as_u64().ok_or_else(|| {
-        HealthParseError::Schema(format!("field `{key}` is not a non-negative integer"))
-    })
-}
-
-fn require_str(key: &str, value: &Json) -> Result<String, HealthParseError> {
-    value
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| HealthParseError::Schema(format!("field `{key}` is not a string")))
-}
-
-fn set_u64<'k>(slot: &mut u64, key: &'k str, value: &Json) -> Result<&'k str, HealthParseError> {
-    *slot = require_u64(key, value)?;
-    Ok(key)
 }
 
 /// Why a health document failed strict validation.
@@ -319,6 +232,16 @@ impl std::error::Error for HealthParseError {}
 impl From<JsonParseError> for HealthParseError {
     fn from(e: JsonParseError) -> Self {
         HealthParseError::Json(e)
+    }
+}
+
+impl From<FieldError> for HealthParseError {
+    fn from(e: FieldError) -> Self {
+        match e {
+            FieldError::Unknown(key) => HealthParseError::UnknownField(key),
+            FieldError::Missing(key) => HealthParseError::MissingField(key),
+            other => HealthParseError::Schema(other.to_string()),
+        }
     }
 }
 

@@ -13,7 +13,8 @@
 //! checkpoint and inherits its restart history — closing the "shards
 //! recover, the roster does not" gap.
 //!
-//! The document is one JSON object per line of intent, parsed strictly:
+//! The document is one JSON object, parsed strictly by the shared reader
+//! ([`bbmg_obs::json::fields`]):
 //!
 //! ```json
 //! {"schema":"bbmg-roster/1","entries":[
@@ -27,7 +28,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use bbmg_obs::json::{self, push_escaped, Json, JsonParseError};
+use bbmg_obs::json::{self, push_escaped, Field, FieldError, JsonParseError};
 
 /// Schema tag stamped on every roster document.
 pub const ROSTER_SCHEMA: &str = "bbmg-roster/1";
@@ -66,47 +67,16 @@ impl RosterEntry {
         out
     }
 
-    fn parse(value: &Json) -> Result<Self, RosterError> {
-        let Json::Object(fields) = value else {
-            return Err(RosterError::Schema("entry is not an object".into()));
-        };
-        let mut entry = RosterEntry::default();
-        let mut seen: Vec<&str> = Vec::new();
-        for (key, v) in fields {
-            let known = match key.as_str() {
-                "source" => {
-                    entry.source = require_str(key, v)?;
-                    "source"
-                }
-                "checkpoint" => {
-                    entry.checkpoint = require_str(key, v)?;
-                    "checkpoint"
-                }
-                "restarts" => {
-                    entry.restarts = require_u64(key, v)?;
-                    "restarts"
-                }
-                "periods" => {
-                    entry.periods = require_u64(key, v)?;
-                    "periods"
-                }
-                "state" => {
-                    entry.state = require_str(key, v)?;
-                    "state"
-                }
-                other => return Err(RosterError::UnknownField(other.to_owned())),
-            };
-            if seen.contains(&known) {
-                return Err(RosterError::Schema(format!("duplicate field `{known}`")));
-            }
-            seen.push(known);
-        }
-        for field in ["source", "checkpoint", "restarts", "periods", "state"] {
-            if !seen.contains(&field) {
-                return Err(RosterError::MissingField(field));
-            }
-        }
-        Ok(entry)
+    fn parse(value: Field<'_>) -> Result<Self, RosterError> {
+        let [source, checkpoint, restarts, periods, state] =
+            value.object(["source", "checkpoint", "restarts", "periods", "state"])?;
+        Ok(RosterEntry {
+            source: source.str()?.to_owned(),
+            checkpoint: checkpoint.str()?.to_owned(),
+            restarts: restarts.u64()?,
+            periods: periods.u64()?,
+            state: state.str()?.to_owned(),
+        })
     }
 }
 
@@ -180,57 +150,31 @@ impl Roster {
         out
     }
 
-    /// Strictly parses a roster document.
+    /// Strictly parses a roster document through [`json::fields`]:
+    /// exactly the writer's fields in the writer's order.
     ///
     /// # Errors
     ///
     /// [`RosterError`] naming the offending field or JSON error.
     pub fn parse_json(text: &str) -> Result<Self, RosterError> {
         let root = json::parse(text)?;
-        let Json::Object(fields) = &root else {
-            return Err(RosterError::Schema("document is not an object".into()));
-        };
-        let mut roster = Roster::new();
-        let mut seen: Vec<&str> = Vec::new();
-        for (key, value) in fields {
-            let known = match key.as_str() {
-                "schema" => {
-                    if value.as_str() != Some(ROSTER_SCHEMA) {
-                        return Err(RosterError::Schema(format!(
-                            "unsupported schema tag {value:?}"
-                        )));
-                    }
-                    "schema"
-                }
-                "entries" => {
-                    let Json::Array(items) = value else {
-                        return Err(RosterError::Schema(
-                            "field `entries` is not an array".into(),
-                        ));
-                    };
-                    for item in items {
-                        let entry = RosterEntry::parse(item)?;
-                        if roster.entries.contains_key(&entry.source) {
-                            return Err(RosterError::Schema(format!(
-                                "duplicate source `{}`",
-                                entry.source
-                            )));
-                        }
-                        roster.entries.insert(entry.source.clone(), entry);
-                    }
-                    "entries"
-                }
-                other => return Err(RosterError::UnknownField(other.to_owned())),
-            };
-            if seen.contains(&known) {
-                return Err(RosterError::Schema(format!("duplicate field `{known}`")));
-            }
-            seen.push(known);
+        let [schema, entries] = json::fields(&root, ["schema", "entries"])?;
+        if schema.value.as_str() != Some(ROSTER_SCHEMA) {
+            return Err(RosterError::Schema(format!(
+                "unsupported schema tag {:?}",
+                schema.value
+            )));
         }
-        for field in ["schema", "entries"] {
-            if !seen.contains(&field) {
-                return Err(RosterError::MissingField(field));
+        let mut roster = Roster::new();
+        for item in entries.array()? {
+            let entry = RosterEntry::parse(item)?;
+            if roster.entries.contains_key(&entry.source) {
+                return Err(RosterError::Schema(format!(
+                    "duplicate source `{}`",
+                    entry.source
+                )));
             }
+            roster.entries.insert(entry.source.clone(), entry);
         }
         Ok(roster)
     }
@@ -275,19 +219,6 @@ impl Roster {
     }
 }
 
-fn require_u64(key: &str, value: &Json) -> Result<u64, RosterError> {
-    value
-        .as_u64()
-        .ok_or_else(|| RosterError::Schema(format!("field `{key}` is not a non-negative integer")))
-}
-
-fn require_str(key: &str, value: &Json) -> Result<String, RosterError> {
-    value
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| RosterError::Schema(format!("field `{key}` is not a string")))
-}
-
 /// Why a roster document failed to load or save.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RosterError {
@@ -320,6 +251,16 @@ impl std::error::Error for RosterError {}
 impl From<JsonParseError> for RosterError {
     fn from(e: JsonParseError) -> Self {
         RosterError::Json(e)
+    }
+}
+
+impl From<FieldError> for RosterError {
+    fn from(e: FieldError) -> Self {
+        match e {
+            FieldError::Unknown(key) => RosterError::UnknownField(key),
+            FieldError::Missing(key) => RosterError::MissingField(key),
+            other => RosterError::Schema(other.to_string()),
+        }
     }
 }
 

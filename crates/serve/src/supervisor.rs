@@ -77,12 +77,6 @@ impl Supervisor {
         Ok(self.roster.len())
     }
 
-    /// Number of sources currently open.
-    #[must_use]
-    pub fn open_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Protocol lines processed so far (blank lines excluded).
     #[must_use]
     pub fn lines(&self) -> usize {
@@ -260,23 +254,6 @@ impl Supervisor {
         }
     }
 
-    /// Processes a whole feed (one protocol line per text line).
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest_line`](Self::ingest_line); stops at the first faulty
-    /// line.
-    pub fn ingest_text<O: Observer + ?Sized>(
-        &mut self,
-        text: &str,
-        observer: &mut O,
-    ) -> Result<(), ServeError> {
-        for line in text.lines() {
-            self.ingest_line(line, observer)?;
-        }
-        Ok(())
-    }
-
     /// Closes every still-open shard (in source-id order) and returns all
     /// summaries, including those from earlier `end` lines, in completion
     /// order. The supervisor stays usable afterwards — notably for a final
@@ -310,6 +287,17 @@ mod tests {
     use super::*;
     use crate::protocol::WireKind;
     use crate::shard::ShardState;
+
+    /// Feeds `text` to `sup` one protocol line per text line, stopping at
+    /// the first faulty line.
+    fn ingest_text<O: Observer + ?Sized>(
+        sup: &mut Supervisor,
+        text: &str,
+        observer: &mut O,
+    ) -> Result<(), ServeError> {
+        text.lines()
+            .try_for_each(|line| sup.ingest_line(line, observer).map(drop))
+    }
 
     /// Builds the wire feed for one consistent period of the crate's
     /// running example: `a` runs, messages, `b` runs.
@@ -379,8 +367,7 @@ mod tests {
         feed.push(end("bus0"));
 
         let mut sup = Supervisor::new(options());
-        sup.ingest_text(&feed.join("\n"), &mut NoopObserver)
-            .unwrap();
+        ingest_text(&mut sup, &feed.join("\n"), &mut NoopObserver).unwrap();
         let summaries = sup.finish(&mut NoopObserver).unwrap();
         assert_eq!(summaries.len(), 1);
         let summary = &summaries[0];
@@ -439,8 +426,7 @@ mod tests {
         opts.learn =
             LearnOptions::exact().with_on_inconsistent(bbmg_core::OnInconsistent::SkipPeriod);
         let mut sup = Supervisor::new(opts);
-        sup.ingest_text(&feed.join("\n"), &mut NoopObserver)
-            .unwrap();
+        ingest_text(&mut sup, &feed.join("\n"), &mut NoopObserver).unwrap();
         let summaries = sup.finish(&mut NoopObserver).unwrap();
         assert_eq!(summaries.len(), 2);
         let x = summaries.iter().find(|s| s.source == "x").unwrap();
@@ -491,7 +477,7 @@ mod tests {
         assert!(matches!(err, ServeError::UnknownSource { .. }));
         // The supervisor survives all of it.
         sup.ingest_line(&end("s"), &mut NoopObserver).unwrap();
-        assert_eq!(sup.open_shards(), 0);
+        assert_eq!(sup.shards.len(), 0);
     }
 
     #[test]
@@ -507,7 +493,7 @@ mod tests {
 
         let mut recorder = Recorder::new();
         let mut sup = Supervisor::new(opts);
-        sup.ingest_text(&feed.join("\n"), &mut recorder).unwrap();
+        ingest_text(&mut sup, &feed.join("\n"), &mut recorder).unwrap();
         let summaries = sup.finish(&mut recorder).unwrap();
         let summary = &summaries[0];
         assert_eq!(summary.state, ShardState::Shedding);
@@ -553,7 +539,7 @@ mod tests {
 
         let mut recorder = Recorder::new();
         let mut sup = Supervisor::new(opts);
-        sup.ingest_text(&feed.join("\n"), &mut recorder).unwrap();
+        ingest_text(&mut sup, &feed.join("\n"), &mut recorder).unwrap();
         let summaries = sup.finish(&mut recorder).unwrap();
         let summary = &summaries[0];
         assert_eq!(summary.state, ShardState::Stopped);
@@ -597,8 +583,7 @@ mod tests {
         feed.push(end("disk"));
 
         let mut sup = Supervisor::new(opts);
-        sup.ingest_text(&feed.join("\n"), &mut NoopObserver)
-            .unwrap();
+        ingest_text(&mut sup, &feed.join("\n"), &mut NoopObserver).unwrap();
         let summaries = sup.finish(&mut NoopObserver).unwrap();
 
         let checkpoint = bbmg_core::Checkpoint::load(&file).unwrap();

@@ -31,18 +31,6 @@ impl CanBus {
         Self::default()
     }
 
-    /// Whether a frame is currently on the bus.
-    #[must_use]
-    pub fn is_busy(&self) -> bool {
-        self.transmitting.is_some()
-    }
-
-    /// Number of frames waiting for arbitration.
-    #[must_use]
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     pub(crate) fn queue(&mut self, frame: Frame) {
         self.pending.push(frame);
     }
@@ -107,8 +95,7 @@ mod tests {
         let (started, fall) = bus.try_start(100, 5).unwrap();
         assert_eq!(started.can_id, 3);
         assert_eq!(fall, 105);
-        assert!(bus.is_busy());
-        assert_eq!(bus.pending_count(), 2);
+        assert_eq!(bus.pending.len(), 2);
         assert_eq!(bus.busy_until(), Some(105));
     }
 

@@ -103,12 +103,6 @@ impl CpuScheduler {
             None
         }
     }
-
-    /// Whether any job is ready.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.ready.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +133,7 @@ mod tests {
         assert_eq!(cpu.current(), Some(t(0)));
         assert_eq!(cpu.current_remaining(), Some(3));
         assert_eq!(cpu.charge(3), Some(t(0)));
-        assert!(cpu.is_idle());
+        assert!(cpu.ready.is_empty());
     }
 
     #[test]

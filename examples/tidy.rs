@@ -13,6 +13,10 @@
 //!    is defined in exactly one constant; all other non-test source
 //!    references go through that constant, and DESIGN.md + README.md
 //!    document every tag.
+//! 5. One hex reader: in non-test code, `from_str_radix(` with radix 16
+//!    appears only in `crates/obs/src/json.rs`. Everything else reads
+//!    hex through `bbmg_obs::json::hex_u64`, which accepts only the 16
+//!    lower-case digits our writers emit.
 //!
 //! Run with: `cargo run --example tidy` — exits nonzero on any finding.
 //! CI runs this next to clippy.
@@ -22,7 +26,6 @@ use std::path::{Path, PathBuf};
 
 /// Files allowed to use `.expect(` in non-test code. Keep sorted.
 const EXPECT_ALLOWLIST: &[&str] = &[
-    "crates/analysis/src/ground_truth.rs",
     "crates/bench/src/lib.rs",
     "crates/cli/src/args.rs",
     "crates/cli/src/commands.rs",
@@ -45,6 +48,9 @@ const EXPECT_ALLOWLIST: &[&str] = &[
     "crates/workloads/src/random.rs",
     "crates/workloads/src/simple.rs",
 ];
+
+/// The one file allowed to parse hex with `from_str_radix` (rule 5).
+const HEX_READER: &str = "crates/obs/src/json.rs";
 
 /// Each schema tag with the one file allowed to spell it out (the
 /// constant's definition site). `crates/cli/src/args.rs` additionally
@@ -191,6 +197,33 @@ fn main() {
             let text = fs::read_to_string(root.join(doc)).unwrap_or_default();
             if !text.contains(tag) {
                 findings.push(format!("{doc}: schema tag `{tag}` is undocumented"));
+            }
+        }
+    }
+
+    // Rule 5: one hex reader. A call may wrap across lines, so each
+    // `from_str_radix(` is read up to its closing parenthesis.
+    for source in &tag_scan {
+        let path = rel(source);
+        if path == HEX_READER {
+            continue;
+        }
+        let text = fs::read_to_string(source).unwrap_or_default();
+        let lines = code_lines(&text);
+        for (i, (number, line)) in lines.iter().enumerate() {
+            let Some(at) = line.find("from_str_radix(") else {
+                continue;
+            };
+            let call: String = std::iter::once(&line[at..])
+                .chain(lines[i + 1..].iter().map(|(_, next)| *next))
+                .collect::<Vec<_>>()
+                .concat();
+            let args = call.split(')').next().unwrap_or_default();
+            if args.contains("16") {
+                findings.push(format!(
+                    "{path}:{number}: hex parsed with `from_str_radix` — use \
+                     `bbmg_obs::json::hex_u64` ({HEX_READER} is the one hex reader)"
+                ));
             }
         }
     }
