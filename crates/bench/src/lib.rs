@@ -23,12 +23,11 @@ use bbmg_workloads::gm;
 /// (`BENCH_learner.json`), the single definition every generator and
 /// validator must reference (enforced by `examples/tidy.rs`).
 ///
-/// `/3` drops `/2`'s batched-arena kernel columns, which timed arena
-/// kernels no library path calls; each kernel row compares the scalar
-/// per-cell reference with the packed word kernel. The `pool` object
-/// compares a cold worker-pool spin-up against a warm dispatch to
-/// already-parked workers.
-pub const BENCH_LEARNER_SCHEMA: &str = "bbmg-bench-learner/3";
+/// Each kernel row compares the scalar per-cell reference with the
+/// packed word kernel, and each workload row times one learn. `/4` drops
+/// `/3`'s `pool` object and per-thread-count rows: the learner runs on
+/// one thread.
+pub const BENCH_LEARNER_SCHEMA: &str = "bbmg-bench-learner/4";
 
 /// Schema tag of the serve-throughput benchmark artifact
 /// (`BENCH_serve.json`).

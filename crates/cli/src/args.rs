@@ -28,15 +28,12 @@ USAGE:
   bbmg audit   <PATHS...> [--json] [--deny warnings] [--replay TRACE]
                [TELEMETRY]
   bbmg convert <IN> <OUT>
-  bbmg corpus  <DIR> [LEARNER] [--cache-dir DIR] [--cache-capacity N]
-               [--report FILE] [--checkpoint-dir DIR]
+  bbmg corpus  <DIR> [LEARNER] [--threads N] [--cache-dir DIR]
+               [--cache-capacity N] [--report FILE] [--checkpoint-dir DIR]
   bbmg help
 
 LEARNER options (shared by learn/analyze/dot/check/explain/profile):
   [--bound B | --exact] [--set-limit N] [--on-error <abort|skip|repair>]
-  [--threads N]          worker threads for the learner's data-parallel
-                         sweeps (default 1; 0 = one per CPU core). Results
-                         are byte-identical at every thread count.
 
 TELEMETRY options (shared by the same commands):
   [--metrics-out FILE]   write a metrics snapshot (JSON, schema
@@ -106,10 +103,11 @@ files and learns a model from each, resolving every trace through a
 content-addressed model cache (--cache-dir, default DIR/.bbmg-cache;
 --cache-capacity entries, default 1024): an already-learned trace resumes
 its cached checkpoint instead of re-learning, and a trace extending a
-cached prefix seeds the learner at the divergence point. Parsing fans out
-across the worker pool (--threads, shared with the learner sweeps);
-results are byte-identical to cold learns and the report is deterministic
-for a given directory + cache state. The aggregate `bbmg-corpus/1` JSON
+cached prefix seeds the learner at the divergence point. Files are parsed
+and learned on --threads N threads (default 1; 0 = one per CPU core),
+one whole file per thread at a time; results are byte-identical to cold
+learns at every thread count, and the report is deterministic for a
+given directory + cache state. The aggregate `bbmg-corpus/1` JSON
 report (per-trace model fingerprint and cache-hit class, dedup ratio,
 traces/sec) goes to --report FILE or stdout; --checkpoint-dir
 additionally saves one named checkpoint per trace.
@@ -205,9 +203,6 @@ pub struct LearnerChoice {
     pub set_limit: Option<usize>,
     /// Degradation policy for bad input.
     pub on_error: OnError,
-    /// Worker threads for the learner's data-parallel sweeps (`--threads`;
-    /// `0` = auto-detect, results are identical at every setting).
-    pub threads: usize,
 }
 
 impl Default for LearnerChoice {
@@ -216,7 +211,6 @@ impl Default for LearnerChoice {
             bound: Some(64),
             set_limit: None,
             on_error: OnError::Abort,
-            threads: 1,
         }
     }
 }
@@ -423,6 +417,9 @@ pub struct CorpusOptions {
     pub dir: String,
     /// Learner configuration shared by every trace.
     pub learner: LearnerChoice,
+    /// Threads that parse and learn files (`--threads`; default 1, `0` =
+    /// one per CPU core). The report is identical at every setting.
+    pub threads: usize,
     /// Model-cache directory (default `<dir>/.bbmg-cache`).
     pub cache_dir: Option<String>,
     /// Maximum cached models kept on disk (LRU beyond this).
@@ -672,7 +669,6 @@ impl Args {
         let bound: Option<usize> = self.take_value("bound")?;
         let set_limit: Option<usize> = self.take_value("set-limit")?;
         let on_error: Option<OnError> = self.take_value("on-error")?;
-        let threads: Option<usize> = self.take_value("threads")?;
         if exact && bound.is_some() {
             return Err(usage("--exact and --bound are mutually exclusive"));
         }
@@ -680,7 +676,6 @@ impl Args {
             bound: if exact { None } else { bound.or(Some(64)) },
             set_limit,
             on_error: on_error.unwrap_or_default(),
-            threads: threads.unwrap_or(1),
         })
     }
 
@@ -1037,6 +1032,7 @@ where
             }
             let dir = args.positional.remove(0);
             let learner = args.learner()?;
+            let threads: usize = args.take_value("threads")?.unwrap_or(1);
             let cache_dir = match args.take("cache-dir") {
                 None => None,
                 Some(None) => return Err(usage("--cache-dir requires a directory path")),
@@ -1060,6 +1056,7 @@ where
             Ok(Command::Corpus(CorpusOptions {
                 dir,
                 learner,
+                threads,
                 cache_dir,
                 cache_capacity,
                 report,
@@ -1207,25 +1204,31 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_parses_on_learner_commands() {
-        let cmd = parse_args(["learn", "t.txt", "--threads", "8"]).unwrap();
-        let Command::Learn(o) = cmd else {
+    fn threads_flag_is_refused_on_learn_and_parsed_on_corpus() {
+        match parse_args(["learn", "t.txt", "--threads", "2"]) {
+            Err(CliError::Usage(message)) => {
+                assert!(message.contains("unknown option --threads"), "{message}");
+            }
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+        let cmd = parse_args(["corpus", "traces", "--threads", "8"]).unwrap();
+        let Command::Corpus(o) = cmd else {
             panic!("wrong command")
         };
-        assert_eq!(o.learner.threads, 8);
-        // Default is sequential; 0 means auto-detect (resolved later).
-        let cmd = parse_args(["learn", "t.txt"]).unwrap();
-        let Command::Learn(o) = cmd else {
+        assert_eq!(o.threads, 8);
+        // Default is one thread; 0 means one per core (resolved later).
+        let cmd = parse_args(["corpus", "traces"]).unwrap();
+        let Command::Corpus(o) = cmd else {
             panic!("wrong command")
         };
-        assert_eq!(o.learner.threads, 1);
-        let cmd = parse_args(["profile", "t.txt", "--threads=0"]).unwrap();
-        let Command::Profile(o) = cmd else {
+        assert_eq!(o.threads, 1);
+        let cmd = parse_args(["corpus", "traces", "--threads=0"]).unwrap();
+        let Command::Corpus(o) = cmd else {
             panic!("wrong command")
         };
-        assert_eq!(o.learner.threads, 0);
+        assert_eq!(o.threads, 0);
         assert!(matches!(
-            parse_args(["learn", "t.txt", "--threads", "many"]),
+            parse_args(["corpus", "traces", "--threads", "many"]),
             Err(CliError::Usage(_))
         ));
     }

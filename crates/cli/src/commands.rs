@@ -121,29 +121,7 @@ pub(crate) fn load_trace<O: Observer + ?Sized>(
 /// place `--on-error` becomes a learner policy: [`OnError::Abort`] is
 /// [`OnInconsistent::Abort`], which never degrades, and the skip and
 /// repair policies are [`OnInconsistent::SkipPeriod`].
-///
-/// `--threads 0` auto-detection resolves to one worker per CPU core.
-/// Callers that already hold the trace should prefer
-/// [`learn_options_for_trace`], which additionally clamps the detected
-/// count by the workload's packed-word volume so small inputs never
-/// provision workers they cannot feed.
 pub(crate) fn learn_options(choice: LearnerChoice) -> Result<LearnOptions, CliError> {
-    learn_options_sized(choice, None)
-}
-
-/// [`learn_options`] with `--threads 0` auto-detection clamped by the
-/// workload size of `trace` (see [`workload_words`]).
-pub(crate) fn learn_options_for_trace(
-    choice: LearnerChoice,
-    trace: &Trace,
-) -> Result<LearnOptions, CliError> {
-    learn_options_sized(choice, Some(workload_words(trace)))
-}
-
-fn learn_options_sized(
-    choice: LearnerChoice,
-    workload: Option<usize>,
-) -> Result<LearnOptions, CliError> {
     let mut options = match choice.bound {
         Some(bound) => LearnOptions::try_bounded(bound)
             .ok_or_else(|| CliError::Usage("--bound must be at least 1".into()))?,
@@ -157,40 +135,7 @@ fn learn_options_sized(
             .try_with_set_limit(limit)
             .ok_or_else(|| CliError::Usage("--set-limit must be at least 1".into()))?;
     }
-    // `--threads 0` means "one worker per CPU core, but no more than the
-    // workload can feed"; detection failure degrades to sequential rather
-    // than erroring. Unknown workloads (streaming serve) clamp on cores
-    // alone.
-    let threads = if choice.threads == 0 {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        match workload {
-            Some(words) => bbmg_core::pool::auto_threads(cores, words),
-            None => cores,
-        }
-    } else {
-        choice.threads
-    };
-    options = options
-        .try_with_parallelism(threads)
-        .expect("resolved thread count is nonzero");
     Ok(options)
-}
-
-/// Deterministic workload-size proxy for `--threads 0` auto-detection:
-/// packed words per dependency matrix × total messages × the candidate
-/// upper bound (`tasks²` ordered pairs per message). Branching work
-/// scales with hypotheses × candidates × words per matrix; the
-/// hypothesis count is unknowable upfront, so the proxy substitutes the
-/// per-message candidate ceiling — deliberately coarse, but monotone in
-/// every dimension that makes parallelism pay, and cheap enough to run
-/// on every invocation.
-fn workload_words(trace: &Trace) -> usize {
-    let tasks = trace.task_count();
-    let words = bbmg_lattice::DependencyFunction::words_per_function(tasks);
-    let messages: usize = trace.periods().iter().map(|p| p.messages().len()).sum();
-    words
-        .saturating_mul(messages)
-        .saturating_mul(tasks.saturating_mul(tasks))
 }
 
 /// Runs the learner per the command-line choice, streaming events into
@@ -200,8 +145,7 @@ pub(crate) fn run_learner<O: Observer + ?Sized>(
     choice: LearnerChoice,
     observer: &mut O,
 ) -> Result<LearnResult, CliError> {
-    let options = learn_options_for_trace(choice, trace)?;
-    Ok(learn_with(trace, options, observer)?)
+    Ok(learn_with(trace, learn_options(choice)?, observer)?)
 }
 
 /// Observer that renders learner degradation events (quarantines,
@@ -446,8 +390,8 @@ pub(crate) mod learn {
 
     use super::TelemetrySinks;
     use super::{
-        checkpointed, learn_options_for_trace, load_trace, print_model, report_degradation,
-        CliError, NoteSink, Path, Write,
+        checkpointed, learn_options, load_trace, print_model, report_degradation, CliError,
+        NoteSink, Path, Write,
     };
     use crate::args::LearnCmdOptions;
 
@@ -459,7 +403,7 @@ pub(crate) mod learn {
             load_trace(&options.trace, options.learner.on_error, &mut tee)?
         };
         let trace = &loaded.trace;
-        let learn = learn_options_for_trace(options.learner, trace)?;
+        let learn = learn_options(options.learner)?;
         let result = {
             let mut tee = sinks.attach(Tee::new()).with(&mut notes);
             match &options.checkpoint {
@@ -1011,9 +955,7 @@ pub(crate) mod profile {
     use bbmg_obs::{chrome_trace, Metrics, Recorder, Tee};
 
     use super::TelemetrySinks;
-    use super::{
-        learn_options_for_trace, load_trace, report_degradation, CliError, NoteSink, Write,
-    };
+    use super::{learn_options, load_trace, report_degradation, CliError, NoteSink, Write};
     use crate::args::ProfileOptions;
 
     pub(crate) fn run(options: &ProfileOptions, out: &mut dyn Write) -> Result<(), CliError> {
@@ -1033,7 +975,7 @@ pub(crate) mod profile {
             load_trace(&options.trace, options.learner.on_error, &mut tee)?
         };
 
-        let learn_opts = learn_options_for_trace(options.learner, &loaded.trace)?;
+        let learn_opts = learn_options(options.learner)?;
         let timeline = {
             let mut tee = sinks.attach(Tee::new()).with(&mut metrics).with(&mut notes);
             if let Some(recorder) = recorder.as_mut() {
@@ -1152,12 +1094,10 @@ pub(crate) mod corpus {
     use std::collections::HashMap;
     use std::num::NonZeroUsize;
     use std::path::{Path, PathBuf};
+    use std::sync::{Mutex, PoisonError};
     use std::time::Instant;
 
-    use bbmg_core::pool::WorkerPool;
-    use bbmg_core::{
-        seal, trace_fingerprints, Checkpoint, IncrementalLearner, ModelCache, CORPUS_SCHEMA,
-    };
+    use bbmg_core::{seal, trace_fingerprints, IncrementalLearner, ModelCache, CORPUS_SCHEMA};
     use bbmg_obs::json::escape;
     use bbmg_obs::NoopObserver;
     use bbmg_trace::Trace;
@@ -1188,6 +1128,55 @@ pub(crate) mod corpus {
         fingerprint: u64,
         hypotheses: usize,
         converged: bool,
+    }
+
+    /// The threads a fan-out over `jobs` files starts: the `requested`
+    /// count, clamped to the host's `cores` and to the files, and at
+    /// least one.
+    pub(super) fn fan_out_threads(requested: usize, cores: usize, jobs: usize) -> usize {
+        requested.min(cores).min(jobs).max(1)
+    }
+
+    /// Runs `job` on every item and returns the results in item order.
+    /// The caller works through the items beside up to `requested - 1`
+    /// scoped helper threads (see [`fan_out_threads`]), each taking the
+    /// next unclaimed item. If the host refuses a helper, no more are
+    /// started and the threads already running do the rest. A worker's
+    /// panic is re-raised on the caller.
+    pub(super) fn fan_out<T: Send, R: Send>(
+        requested: usize,
+        cores: usize,
+        items: Vec<T>,
+        job: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        let helpers = fan_out_threads(requested, cores, items.len()) - 1;
+        let queue = Mutex::new(items.into_iter().enumerate());
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                // The lock is held to claim an item, not to run it.
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((index, item)) = next else {
+                    return done;
+                };
+                done.push((index, job(item)));
+            }
+        };
+        let mut done = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..helpers)
+                .map_while(|_| std::thread::Builder::new().spawn_scoped(scope, work).ok())
+                .collect();
+            let mut done = work();
+            for worker in workers {
+                match worker.join() {
+                    Ok(theirs) => done.extend(theirs),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            done
+        });
+        done.sort_unstable_by_key(|&(index, _)| index);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 
     fn with_file(file: &str, e: CliError) -> CliError {
@@ -1239,26 +1228,25 @@ pub(crate) mod corpus {
         let capacity =
             NonZeroUsize::new(options.cache_capacity).expect("validated by the arg parser");
         let mut cache = ModelCache::open(&cache_dir, capacity)?;
-        let pool = WorkerPool::global();
-        pool.provision(learn.parallelism.get());
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let threads = match options.threads {
+            0 => cores,
+            n => n,
+        };
 
         let started = Instant::now();
 
-        // Stage 1 — parse every file across the pool, in file order.
+        // Stage 1 — parse every file across the threads, in file order.
         let names: Vec<String> = files
             .iter()
             .map(|p| p.to_string_lossy().into_owned())
             .collect();
-        let parse_jobs: Vec<_> = names
-            .iter()
-            .map(|name| {
-                let name = name.clone();
-                let on_error = options.learner.on_error;
-                move || load_trace(&name, on_error, &mut NoopObserver).map(|l| l.trace)
-            })
-            .collect();
+        let on_error = options.learner.on_error;
+        let parsed = fan_out(threads, cores, names.iter().collect(), |name: &String| {
+            load_trace(name, on_error, &mut NoopObserver).map(|l| l.trace)
+        });
         let mut traces: Vec<Option<Trace>> = Vec::with_capacity(files.len());
-        for (name, parsed) in names.iter().zip(pool.scatter(parse_jobs)) {
+        for (name, parsed) in names.iter().zip(parsed) {
             traces.push(Some(parsed.map_err(|e| with_file(name, e))?));
         }
 
@@ -1324,11 +1312,12 @@ pub(crate) mod corpus {
             plans.push(plan);
         }
 
-        // Stage 3 — run each wave across the pool; checkpoints are loaded
-        // and inserted on this thread, in file order, so cache recency and
-        // eviction are deterministic. A learn is complete only if the
-        // budget never stopped it; incomplete models are reported but not
-        // cached (their state depends on timing, not just the trace).
+        // Stage 3 — run each wave across the threads; checkpoints are
+        // loaded and inserted on this thread, in file order, so cache
+        // recency and eviction are deterministic. A learn is complete only
+        // if the budget never stopped it; incomplete models are reported
+        // but not cached (their state depends on timing, not just the
+        // trace).
         let mut entries: Vec<Option<Entry>> = (0..files.len()).map(|_| None).collect();
         let mut saved: Vec<Option<PathBuf>> = (0..files.len()).map(|_| None).collect();
         if let Some(ckpt_dir) = &options.checkpoint_dir {
@@ -1364,22 +1353,25 @@ pub(crate) mod corpus {
                 } else {
                     ("miss", 0)
                 });
-                let trace = traces[index].take().expect("trace planned once");
-                jobs.push(move || -> Result<(Checkpoint, bool, bool), CliError> {
-                    let mut learner = match checkpoint {
-                        Some(c) => IncrementalLearner::resume(c)?,
-                        None => IncrementalLearner::new(trace.task_count(), learn),
-                    };
-                    let rest = &trace.periods()[learner.pushed_periods()..];
-                    let complete = learner
-                        .drive(rest, &mut NoopObserver, |_, _, _, _| Ok::<_, CliError>(()))?;
-                    let checkpoint = learner.checkpoint();
-                    let converged = learner.finish().converged();
-                    Ok((checkpoint, complete, converged))
-                });
+                jobs.push((
+                    checkpoint,
+                    traces[index].take().expect("trace planned once"),
+                ));
             }
+            let outcomes = fan_out(threads, cores, jobs, |(checkpoint, trace)| {
+                let mut learner = match checkpoint {
+                    Some(c) => IncrementalLearner::resume(c)?,
+                    None => IncrementalLearner::new(trace.task_count(), learn),
+                };
+                let rest = &trace.periods()[learner.pushed_periods()..];
+                let complete =
+                    learner.drive(rest, &mut NoopObserver, |_, _, _, _| Ok::<_, CliError>(()))?;
+                let checkpoint = learner.checkpoint();
+                let converged = learner.finish().converged();
+                Ok::<_, CliError>((checkpoint, complete, converged))
+            });
             for ((&index, (hit, seeded_periods)), outcome) in
-                members.iter().zip(effective).zip(pool.scatter(jobs))
+                members.iter().zip(effective).zip(outcomes)
             {
                 let (checkpoint, complete, converged) =
                     outcome.map_err(|e| with_file(&names[index], e))?;
@@ -1450,8 +1442,7 @@ pub(crate) mod corpus {
             "{{\"traces\":{traces_total},\"cache_full_hits\":{full_hits},\
              \"cache_prefix_hits\":{prefix_hits},\"cache_misses\":{misses},\
              \"dedup_ratio\":{dedup_ratio:.6},\"elapsed_micros\":{elapsed_micros},\
-             \"traces_per_sec\":{traces_per_sec:.3},\"threads\":{},\"entries\":[",
-            learn.parallelism.get()
+             \"traces_per_sec\":{traces_per_sec:.3},\"threads\":{threads},\"entries\":["
         ));
         for (i, e) in entries.iter().enumerate() {
             if i > 0 {
@@ -1510,85 +1501,6 @@ mod tests {
         let mut out = Vec::new();
         run(argv.iter().copied(), &mut out).expect("command succeeds");
         String::from_utf8(out).expect("utf8 output")
-    }
-
-    mod auto_threads {
-        use bbmg_trace::{Timestamp, Trace, TraceBuilder};
-
-        use super::super::{learn_options_for_trace, workload_words};
-        use crate::args::LearnerChoice;
-
-        /// A tiny 2-task, 1-message trace: far below the auto-threading
-        /// word floor on any hardware.
-        fn tiny_trace() -> Trace {
-            let u = bbmg_lattice::TaskUniverse::from_names(["a", "b"]);
-            let a = u.lookup("a").unwrap();
-            let b_id = u.lookup("b").unwrap();
-            let mut b = TraceBuilder::new(u);
-            b.begin_period();
-            b.task(a, Timestamp::new(0), Timestamp::new(10)).unwrap();
-            b.message(Timestamp::new(11), Timestamp::new(13)).unwrap();
-            b.task(b_id, Timestamp::new(15), Timestamp::new(25))
-                .unwrap();
-            b.end_period().unwrap();
-            b.finish()
-        }
-
-        #[test]
-        fn workload_proxy_is_monotone_in_messages_and_tasks() {
-            let tiny = workload_words(&tiny_trace());
-            assert!(tiny > 0);
-            // Same universe, more messages => strictly more estimated work.
-            let u = bbmg_lattice::TaskUniverse::from_names(["a", "b"]);
-            let a = u.lookup("a").unwrap();
-            let b_id = u.lookup("b").unwrap();
-            let mut b = TraceBuilder::new(u);
-            for p in 0..4u64 {
-                let base = p * 100;
-                b.begin_period();
-                b.task(a, Timestamp::new(base), Timestamp::new(base + 10))
-                    .unwrap();
-                b.message(Timestamp::new(base + 11), Timestamp::new(base + 13))
-                    .unwrap();
-                b.task(b_id, Timestamp::new(base + 15), Timestamp::new(base + 25))
-                    .unwrap();
-                b.end_period().unwrap();
-            }
-            assert!(workload_words(&b.finish()) > tiny);
-        }
-
-        #[test]
-        fn threads_zero_clamps_to_one_on_tiny_workloads() {
-            // Regardless of how many cores the host has, a workload far
-            // below AUTO_THREAD_WORDS must resolve --threads 0 to 1.
-            let choice = LearnerChoice {
-                threads: 0,
-                ..LearnerChoice::default()
-            };
-            let options = learn_options_for_trace(choice, &tiny_trace()).unwrap();
-            assert_eq!(options.parallelism.get(), 1);
-        }
-
-        #[test]
-        fn threads_zero_without_a_trace_uses_detected_cores() {
-            let choice = LearnerChoice {
-                threads: 0,
-                ..LearnerChoice::default()
-            };
-            let options = super::super::learn_options(choice).unwrap();
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-            assert_eq!(options.parallelism.get(), cores);
-        }
-
-        #[test]
-        fn explicit_threads_are_never_clamped_by_the_workload() {
-            let choice = LearnerChoice {
-                threads: 6,
-                ..LearnerChoice::default()
-            };
-            let options = learn_options_for_trace(choice, &tiny_trace()).unwrap();
-            assert_eq!(options.parallelism.get(), 6);
-        }
     }
 
     #[test]
@@ -2195,5 +2107,148 @@ mod tests {
             rerun.contains("3 trace(s), 3 full / 0 prefix hit(s), 0 cold learn(s)"),
             "{rerun}"
         );
+    }
+
+    #[test]
+    fn fan_out_threads_clamp_to_cores_and_files() {
+        use super::corpus::fan_out_threads;
+        assert_eq!(fan_out_threads(1, 8, 10), 1);
+        assert_eq!(fan_out_threads(4, 8, 10), 4);
+        assert_eq!(fan_out_threads(4, 2, 10), 2, "no more threads than cores");
+        assert_eq!(fan_out_threads(4, 8, 3), 3, "no more threads than files");
+        assert_eq!(fan_out_threads(4, 8, 0), 1, "never fewer than one");
+        assert_eq!(fan_out_threads(usize::MAX, 2, 5), 2);
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_item_order_and_reraises_panics() {
+        use super::corpus::fan_out;
+        let items: Vec<u64> = (0..64).collect();
+        let doubled: Vec<u64> = items.iter().map(|i| i * 2).collect();
+        assert_eq!(fan_out(1, 2, items.clone(), |i| i * 2), doubled);
+        // Every job meets the other thread's at a barrier, so the caller
+        // and its one helper take turns claiming items and each holds half
+        // of them, interleaved. The item count is even, so no job waits
+        // alone; a thread that kept the queue locked through its job would
+        // hang here.
+        let turns = std::sync::Barrier::new(2);
+        let lockstep = fan_out(2, 2, items.clone(), |i| {
+            turns.wait();
+            i * 2
+        });
+        assert_eq!(lockstep, doubled);
+        let panicked = std::panic::catch_unwind(|| {
+            fan_out(2, 2, items, |i| assert_ne!(i, 40, "item 40 fails"));
+        });
+        let payload = panicked.expect_err("the worker's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(message.contains("item 40 fails"), "{message}");
+    }
+
+    /// `doc` with the values of `keys` blanked.
+    fn without_values(doc: &str, keys: &[&str]) -> String {
+        let mut out = doc.to_owned();
+        for key in keys {
+            let tag = format!("\"{key}\":");
+            let start = out.find(&tag).unwrap_or_else(|| panic!("{key} in {doc}")) + tag.len();
+            let end = start + out[start..].find([',', '}']).expect("value ends");
+            out.replace_range(start..end, "_");
+        }
+        out
+    }
+
+    /// Every checkpoint in the cache `dir`, by name, with its budget clock
+    /// and the checksum over it blanked.
+    fn cached_checkpoints(dir: &std::path::Path) -> Vec<(String, String)> {
+        let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let text = std::fs::read_to_string(&path).unwrap();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, without_values(&text, &["checksum", "elapsed_micros"]))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn corpus_is_the_same_at_one_and_two_threads() {
+        use bbmg_trace::{parse_csv, write_btrace, write_csv};
+        use bbmg_workloads::random::{random_trace, RandomModelConfig};
+
+        let dir =
+            std::env::temp_dir().join(format!("bbmg_cli_corpus_threads_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let traces = dir.join("traces");
+        std::fs::create_dir_all(&traces).unwrap();
+        let design = |seed: u64| {
+            let config = RandomModelConfig {
+                tasks: 6,
+                seed,
+                ..RandomModelConfig::default()
+            };
+            let trace = random_trace(&config, 8, seed).unwrap().trace;
+            // One CSV round trip fixes the universe's interning order.
+            parse_csv(&write_csv(&trace)).unwrap()
+        };
+        let full = design(3);
+        // Files are planned in path order: the prefix is learned in the
+        // first wave and seeds `1-full.csv` in the second; `2-copy.csv`
+        // repeats it byte for byte, and `3-copy.btrace` in binary.
+        let prefix = full.truncated(full.periods().len() - 2);
+        std::fs::write(traces.join("0-prefix.csv"), write_csv(&prefix)).unwrap();
+        std::fs::write(traces.join("1-full.csv"), write_csv(&full)).unwrap();
+        std::fs::write(traces.join("2-copy.csv"), write_csv(&full)).unwrap();
+        std::fs::write(traces.join("3-copy.btrace"), write_btrace(&full)).unwrap();
+        std::fs::write(traces.join("4-other.csv"), write_csv(&design(5))).unwrap();
+
+        let cache = dir.join("cache");
+        let report = dir.join("report.json");
+        let ingest = |threads: &str| {
+            let _ = std::fs::remove_dir_all(&cache);
+            let summary = run_to_string(&[
+                "corpus",
+                traces.to_str().unwrap(),
+                "--bound",
+                "8",
+                "--threads",
+                threads,
+                "--cache-dir",
+                cache.to_str().unwrap(),
+                "--report",
+                report.to_str().unwrap(),
+            ]);
+            // The throughput line is a timing.
+            let summary: Vec<String> = summary
+                .lines()
+                .filter(|line| !line.starts_with("throughput:"))
+                .map(str::to_owned)
+                .collect();
+            let document = std::fs::read_to_string(&report).unwrap();
+            let timings = ["checksum", "elapsed_micros", "traces_per_sec", "threads"];
+            (
+                summary,
+                without_values(&document, &timings),
+                cached_checkpoints(&cache),
+            )
+        };
+        let one = ingest("1");
+        assert_eq!(
+            one.0[0],
+            "corpus: 5 trace(s), 2 full / 1 prefix hit(s), 2 cold learn(s)"
+        );
+        let two = ingest("2");
+        assert_eq!(one.0, two.0, "summaries differ");
+        assert_eq!(one.1, two.1, "reports differ beyond their timings");
+        assert_eq!(one.2.len(), 3, "three distinct traces are cached");
+        assert_eq!(
+            one.2, two.2,
+            "cached checkpoints differ beyond their clocks"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

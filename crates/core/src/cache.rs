@@ -15,9 +15,7 @@
 //! * `h_0` digests the task universe — the task *names in interning
 //!   order*, because a cached model's `DependencyFunction`s are indexed by
 //!   `TaskId` and are only reusable when the lookup trace assigns the same
-//!   ids to the same names — and the [`LearnOptions`] fields that affect
-//!   the result: everything except `parallelism`, which is byte-identical
-//!   by construction (DESIGN.md §11).
+//!   ids to the same names — and every [`LearnOptions`] field.
 //! * `h_k = mix(h_{k-1}, d_k)` where `d_k` digests period `k`'s events as a
 //!   *sorted multiset* of per-event hashes (subject name + time + kind).
 //!   Within a period the only reordering the strict parsers accept is a
@@ -71,9 +69,7 @@ fn mix(seed: u64, value: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Digest of the result-relevant [`LearnOptions`] fields. `parallelism` is
-/// deliberately excluded: results are byte-identical at every thread count,
-/// so a model learned at `-j4` must hit for a `-j1` lookup.
+/// Digest of the [`LearnOptions`] fields.
 fn options_digest(options: &LearnOptions) -> u64 {
     let mut h = mix(
         0x006F_7074_696F_6E73,
@@ -612,13 +608,6 @@ mod tests {
             trace_fingerprints(&trace, &bounded).full(),
             fps.full(),
             "bound must key separately"
-        );
-        let mut threaded = options;
-        threaded.parallelism = NonZeroUsize::new(4).unwrap();
-        assert_eq!(
-            trace_fingerprints(&trace, &threaded).full(),
-            fps.full(),
-            "parallelism must not key"
         );
     }
 

@@ -465,9 +465,13 @@ fn temp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
+/// Writes `options`. The trailing `"parallelism":1` is a fixed field: the
+/// learner runs on one thread, and the field stays so that `bbmg-ckpt/1`
+/// documents keep their bytes and older ones, which recorded a thread
+/// count there, still load.
 fn push_options(out: &mut String, options: &LearnOptions) {
     out.push_str(&format!(
-        "{{\"bound\":{},\"merge_assumptions\":\"{}\",\"timing_filter\":{},\"history_aware\":{},\"set_limit\":{},\"on_inconsistent\":\"{}\",\"max_steps\":{},\"max_wall_clock_micros\":{},\"parallelism\":{}}}",
+        "{{\"bound\":{},\"merge_assumptions\":\"{}\",\"timing_filter\":{},\"history_aware\":{},\"set_limit\":{},\"on_inconsistent\":\"{}\",\"max_steps\":{},\"max_wall_clock_micros\":{},\"parallelism\":1}}",
         opt_number(options.bound),
         match options.merge_assumptions {
             MergeAssumptions::Union => "union",
@@ -485,7 +489,6 @@ fn push_options(out: &mut String, options: &LearnOptions) {
             || "null".to_owned(),
             |d| format!("\"{:016x}\"", u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
         ),
-        options.parallelism,
     ));
 }
 
@@ -517,6 +520,9 @@ fn decode_options(options: Field<'_>) -> Result<LearnOptions, CheckpointError> {
     };
     let optional = |field: Field<'_>| field.non_null().map(nonzero).transpose().map_err(at);
     let max_wall_clock = max_wall_clock_micros.non_null().map(Field::hex).transpose();
+    // The fixed field (see `push_options`): any thread count an older
+    // writer recorded is accepted and has no effect.
+    nonzero(parallelism).map_err(at)?;
     Ok(LearnOptions {
         bound: optional(bound)?,
         merge_assumptions,
@@ -528,7 +534,6 @@ fn decode_options(options: Field<'_>) -> Result<LearnOptions, CheckpointError> {
             max_steps: optional(max_steps)?,
             max_wall_clock: max_wall_clock.map_err(at)?.map(Duration::from_micros),
         },
-        parallelism: nonzero(parallelism).map_err(at)?,
     })
 }
 
@@ -651,8 +656,7 @@ mod tests {
             options: LearnOptions::exact()
                 .with_set_limit(100)
                 .with_on_inconsistent(OnInconsistent::SkipPeriod)
-                .with_budget(Budget::unlimited().with_max_steps(5000))
-                .with_parallelism(4),
+                .with_budget(Budget::unlimited().with_max_steps(5000)),
             fallback_bound: NonZeroUsize::new(64).unwrap(),
             elapsed: Duration::from_micros(123_456),
             hypotheses: vec![f, g],
@@ -736,6 +740,24 @@ mod tests {
         assert!(matches!(
             Checkpoint::parse_json(&doc),
             Err(CheckpointError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn the_fixed_parallelism_field_accepts_any_recorded_thread_count() {
+        let ckpt = sample();
+        let payload = ckpt.payload_json();
+        assert!(payload.contains("\"parallelism\":1}"));
+        let older = payload.replacen("\"parallelism\":1}", "\"parallelism\":4}", 1);
+        let back = Checkpoint::parse_json(&seal(CHECKPOINT_SCHEMA, &older)).expect("loads");
+        assert_eq!(back, ckpt);
+        let zero = payload.replacen("\"parallelism\":1}", "\"parallelism\":0}", 1);
+        assert!(matches!(
+            Checkpoint::parse_json(&seal(CHECKPOINT_SCHEMA, &zero)),
+            Err(CheckpointError::Malformed {
+                context: "payload.options",
+                ..
+            })
         ));
     }
 

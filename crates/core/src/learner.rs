@@ -1,7 +1,5 @@
 //! The incremental generalization engine (paper §3.1–§3.2).
 
-use std::sync::Arc;
-
 use bbmg_lattice::{packed, DependencyFunction, DependencyValue, FunctionArena, TaskId};
 use bbmg_obs::{NoopObserver, Observer};
 use bbmg_trace::Period;
@@ -9,7 +7,6 @@ use bbmg_trace::Period;
 use crate::error::LearnError;
 use crate::history::ExecutionHistory;
 use crate::options::{LearnOptions, MergeAssumptions};
-use crate::pool::{self, WorkerPool};
 use crate::stats::LearnStats;
 use crate::weight_queue::WeightQueue;
 
@@ -21,35 +18,6 @@ use crate::weight_queue::WeightQueue;
 /// `Instant::now` (tens of nanoseconds, comparable to one branching step)
 /// off the per-hypothesis path.
 pub const BUDGET_SAMPLE_INTERVAL: usize = 1024;
-
-/// Minimum `hypotheses × candidates × packed words per matrix` product
-/// before exact-mode branching fans out to worker threads; below this the
-/// spawn cost dwarfs the work. Sized in packed *words* rather than raw
-/// pair counts so a small task universe (few words per matrix) must offer
-/// proportionally more pairs before threads pay off — `BENCH_learner.json`
-/// measured the old pair-count gate going 0.70× at 2 threads on the
-/// 16-task blow-up workload. Count-based (never timing-based), so the
-/// gate itself is deterministic.
-pub const PARALLEL_BRANCH_WORDS: usize = 128 * 1024;
-
-/// Minimum `unique hypotheses × packed words per matrix` product before
-/// the redundancy scan fans out, sized in words for the same reason as
-/// [`PARALLEL_BRANCH_WORDS`]. Higher than the branch gate's per-item
-/// cost profile suggests because the batched arena scan (contiguous
-/// `leq` sweeps over cached-weight prefixes) is so much cheaper per
-/// word than child generation that small sets finish before a dispatch
-/// round-trip completes — the old 8 Ki gate measured 0.88× at 2
-/// threads on the blow-up workload's scans.
-pub const PARALLEL_SCAN_WORDS: usize = 32 * 1024;
-
-/// Minimum `hypotheses × candidates × packed words per matrix` product
-/// before bounded-mode child *generation* fans out, where the hypotheses
-/// counted are the message-start rows that branch (those that repeat no
-/// earlier row). Lower than [`PARALLEL_BRANCH_WORDS`] because it was
-/// tuned when bounded-mode workers also computed each child's full
-/// weight for merge ordering; the arena rows now carry an incremental
-/// weight in both modes, and the gate keeps its value.
-pub const BOUNDED_BRANCH_WORDS: usize = 64 * 1024;
 
 /// One message's branching state, reused across a period's messages.
 ///
@@ -100,14 +68,8 @@ pub struct Learner {
 
 impl Learner {
     /// Creates a learner over a universe of `tasks` tasks.
-    ///
-    /// If `options.parallelism > 1` this also warms the process-wide
-    /// [`WorkerPool`], so the first period that crosses a fan-out gate
-    /// dispatches to already-parked workers instead of paying thread
-    /// spawns on the hot path.
     #[must_use]
     pub fn new(tasks: usize, options: LearnOptions) -> Self {
-        pool::warm_up(options.parallelism.get());
         Learner {
             options,
             tasks,
@@ -185,7 +147,6 @@ impl Learner {
         stats: LearnStats,
         elapsed: std::time::Duration,
     ) -> Self {
-        pool::warm_up(options.parallelism.get());
         let now = std::time::Instant::now();
         Learner {
             options,
@@ -324,38 +285,33 @@ impl Learner {
 
         // Step 2: message-guided generalization.
         for message in period.messages() {
-            // `Arc` so the branch paths can hand read-only clones to the
-            // persistent worker pool without copying the vectors; the
-            // sequential paths index straight through the `Arc`.
-            let candidates: Arc<Vec<(TaskId, TaskId)>> = Arc::new(if self.options.timing_filter {
+            let candidates = if self.options.timing_filter {
                 period.candidate_pairs(message)
             } else {
                 all_executed_pairs(period)
-            });
+            };
             self.stats.candidate_pairs_total += candidates.len();
             self.stats.messages += 1;
 
             // The minimal generalization values per candidate pair are
             // hypothesis-independent: look them up once per message, not
             // once per (hypothesis, candidate).
-            let joins: Arc<Vec<(DependencyValue, DependencyValue)>> = Arc::new(
-                candidates
-                    .iter()
-                    .map(|&(s, r)| {
-                        if self.options.history_aware {
-                            (
-                                self.history.forward_value(s, r),
-                                self.history.backward_value(s, r),
-                            )
-                        } else {
-                            // Ablation: the naive join that only respects the
-                            // current instance (violates the version-space
-                            // invariant; see LearnOptions::history_aware).
-                            (DependencyValue::Determines, DependencyValue::DependsOn)
-                        }
-                    })
-                    .collect(),
-            );
+            let joins: Vec<(DependencyValue, DependencyValue)> = candidates
+                .iter()
+                .map(|&(s, r)| {
+                    if self.options.history_aware {
+                        (
+                            self.history.forward_value(s, r),
+                            self.history.backward_value(s, r),
+                        )
+                    } else {
+                        // Ablation: the naive join that only respects the
+                        // current instance (violates the version-space
+                        // invariant; see LearnOptions::history_aware).
+                        (DependencyValue::Determines, DependencyValue::DependsOn)
+                    }
+                })
+                .collect();
 
             let generated_before = self.stats.hypotheses_generated;
             self.branch_message(
@@ -394,30 +350,11 @@ impl Learner {
 
         // Step 3: post-processing — strip assumptions, unify, delete
         // redundant hypotheses.
-        self.hypotheses = self.remove_redundant(set, branch.rows);
+        self.hypotheses = Self::remove_redundant(set, branch.rows);
         self.stats.periods += 1;
         self.stats.set_sizes_per_period.push(self.hypotheses.len());
         observer.period_end(period.index(), self.hypotheses.len());
         Ok(())
-    }
-
-    /// How many workers to fan a branching step out over: 1 unless the
-    /// workload crosses `gate_words` and the options ask for parallelism,
-    /// in which case the persistent pool is provisioned (lazily growing
-    /// it up to the hardware limit) and the request is clamped to the
-    /// workers actually available. The clamp only changes *partitioning*,
-    /// never results: ordered chunk concatenation reproduces the
-    /// sequential sequence at every chunk count.
-    fn branch_threads(&self, items: usize, candidates: usize, gate_words: usize) -> usize {
-        if self.options.parallelism.get() <= 1 || items < 2 {
-            return 1;
-        }
-        let words = DependencyFunction::words_per_function(self.tasks);
-        let volume = items.saturating_mul(candidates).saturating_mul(words);
-        if volume < gate_words {
-            return 1;
-        }
-        WorkerPool::global().provision(self.options.parallelism.get())
     }
 
     /// Branches every row of `set` over one message's candidates (paper
@@ -426,10 +363,11 @@ impl Learner {
     ///
     /// Every (row, candidate) pair whose pair the row has not yet assumed
     /// this period spawns a child row in (row-major, candidate-minor)
-    /// order, and the *reduce* — dedup, statistics, budget sampling,
-    /// set-limit checks, overflow merges and observer events — consumes
-    /// the children in exactly that order on this thread (see
-    /// [`admit`](Self::admit)). Bounded-mode results depend on that order:
+    /// order, and each child is admitted — dedup, statistics, budget
+    /// sampling, set-limit checks, overflow merges and observer events —
+    /// as soon as it is generated (see [`admit`](Self::admit)), so
+    /// merged rows never spawn children within the message. Bounded-mode
+    /// results depend on that order:
     /// each overflow merges the two currently lowest-weight rows, and
     /// Theorem 4's convergence argument is about precisely this
     /// interleaving of insertions and merges.
@@ -443,56 +381,33 @@ impl Learner {
     /// child of the repeat would be dropped by `admit` before it is
     /// counted, sampled, queued or reported. Exact-mode stores are the
     /// dedup index's own unique rows, so every row branches.
-    ///
-    /// Child *generation* only reads the message-start rows — merged rows
-    /// never spawn children within a message — so with enough work it
-    /// fans out to the persistent pool: workers fill per-chunk arenas of
-    /// child rows (with their weights and row hashes) over contiguous
-    /// runs of the branching rows, and the reduce consumes the chunks in
-    /// order. That is exactly the sequential sequence, so results,
-    /// statistics and event streams are byte-identical at any thread
-    /// count.
     fn branch_message<O: Observer + ?Sized>(
         &mut self,
         period: usize,
         observer: &mut O,
         set: &mut FunctionArena,
         branch: &mut Branch,
-        candidates: &Arc<Vec<(TaskId, TaskId)>>,
-        joins: &Arc<Vec<(DependencyValue, DependencyValue)>>,
+        candidates: &[(TaskId, TaskId)],
+        joins: &[(DependencyValue, DependencyValue)],
     ) -> Result<(), LearnError> {
         branch.rows.clear();
-        let gate = if self.options.bound.is_some() {
+        if self.options.bound.is_some() {
             set.distinct_rows(&mut branch.parents);
-            BOUNDED_BRANCH_WORDS
         } else {
             branch.parents.clear();
             branch.parents.extend(0..set.len());
-            PARALLEL_BRANCH_WORDS
-        };
-        let threads = self.branch_threads(branch.parents.len(), candidates.len(), gate);
-        if threads > 1 {
-            for chunk in
-                generate_children_parallel(threads, set, &branch.parents, candidates, joins)
-            {
-                for k in 0..chunk.len() {
-                    branch.rows.push_copy(&chunk, k);
-                    self.admit(period, observer, branch)?;
+        }
+        for p in 0..branch.parents.len() {
+            let parent = branch.parents[p];
+            for (ci, &(s, r)) in candidates.iter().enumerate() {
+                // At most one message per sender/receiver pair per
+                // period: a pair already assumed is spoken for.
+                if set.has_pair(parent, s, r) {
+                    continue;
                 }
-            }
-        } else {
-            for p in 0..branch.parents.len() {
-                let parent = branch.parents[p];
-                for (ci, &(s, r)) in candidates.iter().enumerate() {
-                    // At most one message per sender/receiver pair per
-                    // period: a pair already assumed is spoken for.
-                    if set.has_pair(parent, s, r) {
-                        continue;
-                    }
-                    let (forward, backward) = joins[ci];
-                    branch.rows.push_child(set, parent, s, r, forward, backward);
-                    self.admit(period, observer, branch)?;
-                }
+                let (forward, backward) = joins[ci];
+                branch.rows.push_child(set, parent, s, r, forward, backward);
+                self.admit(period, observer, branch)?;
             }
         }
         if self.options.bound.is_some() {
@@ -508,9 +423,8 @@ impl Learner {
         Ok(())
     }
 
-    /// The per-child reduce step for the child just appended to
-    /// `branch.rows`, shared by the sequential loop and the parallel
-    /// ordered reduce: dedup → count → sampled budget check → then, in
+    /// The per-child step for the child just appended to `branch.rows`:
+    /// dedup → count → sampled budget check → then, in
     /// exact mode, the set-limit guard, or in bounded mode insertion into
     /// the working list and the overflow merge of the two lowest-weight
     /// rows into their least upper bound (§3.2). A duplicate child leaves
@@ -562,52 +476,6 @@ impl Learner {
         Ok(())
     }
 
-    /// Processes a *negative* instance: a period known to be infeasible
-    /// (e.g. observed during a fault injection, or ruled out by a
-    /// specification). Every current hypothesis that *matches* the
-    /// negative period is eliminated — the candidate-elimination step the
-    /// paper's conclusion sketches ("It could also be extended by version
-    /// space techniques provided negative examples in the execution
-    /// traces").
-    ///
-    /// Only the most-specific (S) boundary is maintained, which is also
-    /// all the paper's model-generation output consists of; tracking the
-    /// most-general (G) boundary is not needed to answer "what is the most
-    /// specific model consistent with the observations".
-    ///
-    /// Returns the number of eliminated hypotheses.
-    ///
-    /// # Errors
-    ///
-    /// [`LearnError::UniverseMismatch`] on task-count mismatch;
-    /// [`LearnError::Inconsistent`] if every hypothesis matched the
-    /// negative period (the positive and negative observations cannot be
-    /// reconciled within the hypothesis language). On either error the
-    /// hypothesis set is left unchanged.
-    pub fn observe_negative(&mut self, period: &Period) -> Result<usize, LearnError> {
-        if period.universe() != self.tasks {
-            return Err(LearnError::UniverseMismatch {
-                expected: self.tasks,
-                actual: period.universe(),
-            });
-        }
-        let matched: Vec<bool> = self
-            .hypotheses
-            .iter()
-            .map(|h| crate::matching::matches_period(h, period))
-            .collect();
-        let eliminated = matched.iter().filter(|&&m| m).count();
-        if eliminated == matched.len() {
-            return Err(LearnError::Inconsistent {
-                period: period.index(),
-                message: None,
-            });
-        }
-        let mut matched = matched.into_iter();
-        self.hypotheses.retain(|_| matched.next() == Some(false));
-        Ok(eliminated)
-    }
-
     /// Post-processing: strips the period's assumptions from `set`,
     /// unifies equal functions and removes dominated ones (`d` is
     /// redundant iff some other `d'` satisfies `d' ⊑ d`, `d' ≠ d`),
@@ -623,11 +491,8 @@ impl Learner {
     /// sorting makes the prefix sufficient: a strict dominator is
     /// strictly more specific and weight is strictly monotone on the
     /// order, so only the strictly-lower-weight prefix can dominate an
-    /// entry. The scan fans out over the persistent pool when the set is
-    /// large (the `Arc`'d arena is the only shared state, so chunking
-    /// cannot change the flags).
+    /// entry.
     fn remove_redundant(
-        &self,
         mut set: FunctionArena,
         mut unique: FunctionArena,
     ) -> Vec<DependencyFunction> {
@@ -640,32 +505,12 @@ impl Learner {
             // A duplicate is dropped; the first occurrence stays.
             let _ = unique.index_last();
         }
-        let arena = Arc::new(unique);
-        fn keeps(arena: &FunctionArena, i: usize) -> bool {
-            let prefix = arena.weights().partition_point(|&w| w < arena.weight(i));
-            !arena.dominated_in_prefix(i, prefix)
-        }
-        let threads =
-            if self.options.parallelism.get() > 1 && arena.total_words() >= PARALLEL_SCAN_WORDS {
-                WorkerPool::global().provision(self.options.parallelism.get())
-            } else {
-                1
-            };
-        let keep: Vec<bool> = if threads > 1 {
-            let jobs: Vec<_> = pool::chunk_ranges(threads, arena.len())
-                .into_iter()
-                .map(|range| {
-                    let arena = Arc::clone(&arena);
-                    move || range.map(|i| keeps(&arena, i)).collect::<Vec<bool>>()
-                })
-                .collect();
-            WorkerPool::global().scatter(jobs).concat()
-        } else {
-            (0..arena.len()).map(|i| keeps(&arena, i)).collect()
-        };
-        (0..arena.len())
-            .filter(|&i| keep[i])
-            .map(|i| arena.get(i))
+        (0..unique.len())
+            .filter(|&i| {
+                let prefix = unique.weights().partition_point(|&w| w < unique.weight(i));
+                !unique.dominated_in_prefix(i, prefix)
+            })
+            .map(|i| unique.get(i))
             .collect()
     }
 
@@ -677,50 +522,6 @@ impl Learner {
             stats: self.stats,
         }
     }
-}
-
-/// Generates every child of the `parents` rows of `set` for one message,
-/// fanned out over the persistent pool in contiguous runs of `parents`:
-/// each worker fills an arena of child rows (weights and row hashes
-/// included) for its run, and the chunks come back in order, so their
-/// concatenation is exactly the sequential generation sequence.
-///
-/// The rows are moved into an `Arc` for the duration (jobs on a
-/// persistent pool must be `'static`) and restored afterwards; by the
-/// time `scatter` returns every worker has dropped its clone, so the
-/// restore is a move, not a copy.
-fn generate_children_parallel(
-    threads: usize,
-    set: &mut FunctionArena,
-    parents: &[usize],
-    candidates: &Arc<Vec<(TaskId, TaskId)>>,
-    joins: &Arc<Vec<(DependencyValue, DependencyValue)>>,
-) -> Vec<FunctionArena> {
-    let shared = Arc::new(std::mem::replace(set, set.empty_like()));
-    let jobs: Vec<_> = pool::chunk_ranges(threads, parents.len())
-        .into_iter()
-        .map(|range| {
-            let shared = Arc::clone(&shared);
-            let parents = parents[range].to_vec();
-            let candidates = Arc::clone(candidates);
-            let joins = Arc::clone(joins);
-            move || {
-                let mut out = shared.empty_like();
-                for parent in parents {
-                    for (ci, &(s, r)) in candidates.iter().enumerate() {
-                        if !shared.has_pair(parent, s, r) {
-                            let (forward, backward) = joins[ci];
-                            out.push_child(&shared, parent, s, r, forward, backward);
-                        }
-                    }
-                }
-                out
-            }
-        })
-        .collect();
-    let chunks = WorkerPool::global().scatter(jobs);
-    *set = Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone());
-    chunks
 }
 
 /// All ordered pairs of distinct tasks that executed in `period` (the
@@ -964,71 +765,6 @@ mod tests {
             );
         }
         assert!(without.hypotheses().len() >= with.hypotheses().len());
-    }
-
-    #[test]
-    fn negative_example_eliminates_matching_hypotheses() {
-        // After period 1 of the worked example the set is {d21, d22, d23}.
-        // A negative period shaped exactly like period 1 whose messages
-        // could only be (t1,t2) and (t1,t4) eliminates d21 (which matches
-        // it) but keeps d22/d23 (which need a (t2,t4) message).
-        let trace = figure_2_period_1();
-        let mut learner = Learner::new(4, LearnOptions::exact());
-        learner.observe(&trace.periods()[0]).unwrap();
-        assert_eq!(learner.len(), 3);
-
-        // Negative instance declared infeasible by the spec: t1, t2, t4
-        // execute and *two* messages transmit before t2 starts, so both
-        // must come from t1 (to t2 and to t4). Only d21 holds both the
-        // t1 -> t2 and t1 -> t4 dependencies, so only d21 matches and is
-        // eliminated; d22 and d23 each admit just one of the pairs and
-        // survive.
-        let u = TaskUniverse::from_names(["t1", "t2", "t3", "t4"]);
-        let mut b = TraceBuilder::new(u);
-        b.begin_period();
-        b.task(t(0), Timestamp::new(0), Timestamp::new(10)).unwrap();
-        b.message(Timestamp::new(12), Timestamp::new(14)).unwrap();
-        b.message(Timestamp::new(15), Timestamp::new(17)).unwrap();
-        b.task(t(1), Timestamp::new(20), Timestamp::new(30))
-            .unwrap();
-        b.task(t(3), Timestamp::new(40), Timestamp::new(50))
-            .unwrap();
-        b.end_period().unwrap();
-        let negative = b.finish();
-
-        let eliminated = learner.observe_negative(&negative.periods()[0]).unwrap();
-        assert_eq!(eliminated, 1);
-        assert_eq!(learner.len(), 2);
-        // No survivor holds both t1->t2 and t1->t4.
-        for d in learner.hypotheses() {
-            let both = d.value(t(0), t(1)) == V::Determines && d.value(t(0), t(3)) == V::Determines;
-            assert!(!both, "d21 should have been eliminated");
-        }
-    }
-
-    #[test]
-    fn negative_example_matching_everything_errors() {
-        let trace = figure_2_period_1();
-        let mut learner = Learner::new(4, LearnOptions::exact());
-        learner.observe(&trace.periods()[0]).unwrap();
-        // A negative period with no events matches every hypothesis
-        // (vacuously), so the version space collapses.
-        let u = TaskUniverse::from_names(["t1", "t2", "t3", "t4"]);
-        let mut b = TraceBuilder::new(u);
-        b.begin_period();
-        b.end_period().unwrap();
-        let empty = b.finish();
-        let err = learner.observe_negative(&empty.periods()[0]).unwrap_err();
-        assert!(matches!(err, LearnError::Inconsistent { .. }));
-        assert_eq!(learner.len(), 3, "the error leaves the set unchanged");
-    }
-
-    #[test]
-    fn negative_example_universe_mismatch_errors() {
-        let trace = figure_2_period_1();
-        let mut learner = Learner::new(3, LearnOptions::exact());
-        let err = learner.observe_negative(&trace.periods()[0]).unwrap_err();
-        assert!(matches!(err, LearnError::UniverseMismatch { .. }));
     }
 
     #[test]

@@ -58,7 +58,6 @@ mod incremental;
 mod learner;
 mod matching;
 mod options;
-pub mod pool;
 mod stats;
 mod weight_queue;
 mod witness;
@@ -79,10 +78,7 @@ pub use incremental::{
     learn as robust_learn, learn_with as robust_learn_with, IncrementalLearner, Observed,
     DEFAULT_FALLBACK_BOUND,
 };
-pub use learner::{
-    LearnResult, Learner, BOUNDED_BRANCH_WORDS, BUDGET_SAMPLE_INTERVAL, PARALLEL_BRANCH_WORDS,
-    PARALLEL_SCAN_WORDS,
-};
+pub use learner::{LearnResult, Learner, BUDGET_SAMPLE_INTERVAL};
 pub use matching::{
     execution_consistent, explain_period, matches_period, matches_period_relaxed, matches_trace,
     matches_trace_relaxed,

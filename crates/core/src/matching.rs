@@ -3,9 +3,8 @@
 //!
 //! The incremental learner's per-message branching *constructs* matching
 //! hypotheses instead of checking them; the declarative form is what the
-//! paper's correctness theorem quantifies over, what negative examples
-//! eliminate by ([`Learner::observe_negative`](crate::Learner::observe_negative)),
-//! and what the test suite validates Theorems 2 and 3 with.
+//! paper's correctness theorem quantifies over and what the test suite
+//! validates Theorems 2 and 3 with.
 //!
 //! For a fixed `d`, strict `M` is a bipartite matching of the period's
 //! messages to admissible sender/receiver pairs, so [`explain_period`]

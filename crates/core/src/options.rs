@@ -115,15 +115,6 @@ pub struct LearnOptions {
     pub on_inconsistent: OnInconsistent,
     /// Step/wall-clock budget, checked before each period.
     pub budget: Budget,
-    /// Worker threads for the data-parallel sweeps (exact-mode message
-    /// branching, the redundancy scan, matching/convergence sweeps).
-    /// `1` (the default) keeps everything on the calling thread. Results
-    /// are **byte-identical at every setting** — parallel workers only
-    /// generate; all merging, dedup, statistics and observer events happen
-    /// in a deterministic ordered reduce (DESIGN.md §11). Bounded-mode
-    /// merging itself stays sequential regardless (its semantics are
-    /// order-dependent, §3.2), but still profits from the packed kernels.
-    pub parallelism: NonZeroUsize,
 }
 
 impl Default for LearnOptions {
@@ -137,7 +128,6 @@ impl Default for LearnOptions {
             set_limit: None,
             on_inconsistent: OnInconsistent::default(),
             budget: Budget::default(),
-            parallelism: NonZeroUsize::MIN,
         }
     }
 }
@@ -229,30 +219,6 @@ impl LearnOptions {
         self.budget = budget;
         self
     }
-
-    /// Returns `self` running data-parallel sweeps on `threads` workers
-    /// (see [`LearnOptions::parallelism`]; results are identical at every
-    /// setting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`. Config-driven callers should prefer
-    /// [`try_with_parallelism`](Self::try_with_parallelism).
-    #[must_use]
-    pub fn with_parallelism(self, threads: usize) -> Self {
-        self.try_with_parallelism(threads)
-            .expect("thread count must be nonzero")
-    }
-
-    /// Non-panicking [`with_parallelism`](Self::with_parallelism): `None`
-    /// if `threads == 0` (zero workers cannot make progress; callers that
-    /// want "auto" should resolve `std::thread::available_parallelism`
-    /// themselves).
-    #[must_use]
-    pub fn try_with_parallelism(mut self, threads: usize) -> Option<Self> {
-        self.parallelism = NonZeroUsize::new(threads)?;
-        Some(self)
-    }
 }
 
 #[cfg(test)]
@@ -305,16 +271,6 @@ mod set_limit_tests {
         assert_eq!(o.bound.unwrap().get(), 8);
         let o = LearnOptions::exact().try_with_set_limit(9).unwrap();
         assert_eq!(o.set_limit.unwrap().get(), 9);
-    }
-
-    #[test]
-    fn parallelism_defaults_to_one_and_rejects_zero() {
-        assert_eq!(LearnOptions::default().parallelism.get(), 1);
-        assert_eq!(LearnOptions::exact().try_with_parallelism(0), None);
-        assert_eq!(
-            LearnOptions::exact().with_parallelism(8).parallelism.get(),
-            8
-        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The defining invariant of the incremental engine: splitting a run at any
 //! period boundary, serializing the learner through the `bbmg-ckpt/1` JSON
 //! document, and restoring it must produce the same antichain — and the
-//! same observer metrics — as the uninterrupted run, at any parallelism.
+//! same observer metrics — as the uninterrupted run.
 
 use bbmg_core::{Checkpoint, IncrementalLearner, LearnOptions, OnInconsistent};
 use bbmg_lattice::{TaskId, TaskUniverse};
@@ -56,17 +56,14 @@ fn trace_and_split() -> impl Strategy<Value = (Trace, usize)> {
     })
 }
 
-fn options(threads: usize) -> LearnOptions {
-    LearnOptions::exact()
-        .with_on_inconsistent(OnInconsistent::SkipPeriod)
-        .try_with_parallelism(threads)
-        .expect("nonzero thread count")
+fn options() -> LearnOptions {
+    LearnOptions::exact().with_on_inconsistent(OnInconsistent::SkipPeriod)
 }
 
 /// Pushes every period straight through, no checkpoint.
-fn run_straight(trace: &Trace, threads: usize) -> (Vec<u8>, u64, MetricsSnapshot) {
+fn run_straight(trace: &Trace) -> (Vec<u8>, u64, MetricsSnapshot) {
     let mut metrics = Metrics::new();
-    let mut learner = IncrementalLearner::new(trace.task_count(), options(threads));
+    let mut learner = IncrementalLearner::new(trace.task_count(), options());
     for period in trace.periods() {
         learner
             .push_period_with(period, &mut metrics)
@@ -77,9 +74,9 @@ fn run_straight(trace: &Trace, threads: usize) -> (Vec<u8>, u64, MetricsSnapshot
 
 /// Pushes the prefix, round-trips the learner through checkpoint JSON,
 /// then pushes the suffix — the same metrics collector spans all of it.
-fn run_split(trace: &Trace, split: usize, threads: usize) -> (Vec<u8>, u64, MetricsSnapshot) {
+fn run_split(trace: &Trace, split: usize) -> (Vec<u8>, u64, MetricsSnapshot) {
     let mut metrics = Metrics::new();
-    let mut learner = IncrementalLearner::new(trace.task_count(), options(threads));
+    let mut learner = IncrementalLearner::new(trace.task_count(), options());
     for period in trace.periods().iter().take(split) {
         learner
             .push_period_with(period, &mut metrics)
@@ -120,29 +117,11 @@ fn summarize(learner: IncrementalLearner, mut metrics: Metrics) -> (Vec<u8>, u64
 proptest! {
     #[test]
     fn checkpoint_restore_is_invisible_sequential((trace, split) in trace_and_split()) {
-        let straight = run_straight(&trace, 1);
-        let split_run = run_split(&trace, split, 1);
+        let straight = run_straight(&trace);
+        let split_run = run_split(&trace, split);
         prop_assert_eq!(straight.0, split_run.0, "antichain bytes differ");
         prop_assert_eq!(straight.1, split_run.1, "fingerprints differ");
         prop_assert_eq!(straight.2, split_run.2, "metrics snapshots differ");
-    }
-
-    #[test]
-    fn checkpoint_restore_is_invisible_parallel((trace, split) in trace_and_split()) {
-        let straight = run_straight(&trace, 4);
-        let split_run = run_split(&trace, split, 4);
-        prop_assert_eq!(straight.0, split_run.0, "antichain bytes differ");
-        prop_assert_eq!(straight.1, split_run.1, "fingerprints differ");
-        prop_assert_eq!(straight.2, split_run.2, "metrics snapshots differ");
-    }
-
-    #[test]
-    fn parallelism_does_not_change_checkpointed_runs((trace, split) in trace_and_split()) {
-        // The same split run at 1 and 4 workers lands on the same model.
-        let sequential = run_split(&trace, split, 1);
-        let parallel = run_split(&trace, split, 4);
-        prop_assert_eq!(sequential.0, parallel.0, "antichain bytes differ");
-        prop_assert_eq!(sequential.1, parallel.1, "fingerprints differ");
     }
 
     #[test]
@@ -150,8 +129,8 @@ proptest! {
         // On traces the batch learner accepts outright, the incremental
         // engine reaches the identical antichain.
         if let Ok(batch) = bbmg_core::learn(&trace, LearnOptions::exact()) {
-            let (_, fingerprint, snapshot) = run_straight(&trace, 1);
-            let mut learner = IncrementalLearner::new(trace.task_count(), options(1));
+            let (_, fingerprint, snapshot) = run_straight(&trace);
+            let mut learner = IncrementalLearner::new(trace.task_count(), options());
             for period in trace.periods() {
                 learner.push_period(period).expect("batch accepted this trace");
             }

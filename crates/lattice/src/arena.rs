@@ -35,10 +35,6 @@
 //! [`DependencyFunction::fingerprint`] is a serial fold over every word,
 //! which a child could only get by rehashing its whole row, so the arena
 //! does not keep it.
-//!
-//! Read-only sweeps take `&self`, so the learner can wrap an arena in an
-//! `Arc` and let pool workers scan or branch from disjoint index ranges
-//! without locks; results cannot depend on thread interleaving.
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
@@ -156,13 +152,6 @@ impl FunctionArena {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.weights.is_empty()
-    }
-
-    /// Total packed *function* words stored (pair sets excluded) — the
-    /// work-unit size parallel gates measure sweeps in.
-    #[must_use]
-    pub fn total_words(&self) -> usize {
-        self.len() * self.stride
     }
 
     /// The whole row `i`: function words, then the pair set.
@@ -685,7 +674,6 @@ mod tests {
             arena.push(d);
         }
         assert_eq!(arena.len(), 4);
-        assert_eq!(arena.total_words(), 4 * arena.stride());
         for (i, d) in functions.iter().enumerate() {
             assert_eq!(&arena.get(i), d);
             assert_eq!(arena.weight(i), d.weight());

@@ -222,7 +222,7 @@ impl DependencyFunction {
     }
 
     /// The packed words of an `n`-task matrix: the lattice shape a
-    /// checkpoint or parallel-gate sizing computation must agree on.
+    /// checkpoint or a memory watermark must agree on.
     #[must_use]
     pub fn words_per_function(tasks: usize) -> usize {
         words_for(tasks)

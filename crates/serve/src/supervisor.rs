@@ -44,11 +44,6 @@ impl Supervisor {
     /// A supervisor with no open shards.
     #[must_use]
     pub fn new(options: ServeOptions) -> Self {
-        // Warm the process-wide worker pool once at supervisor creation:
-        // every shard's learner then dispatches to the same parked
-        // workers instead of each shard paying its own spawn latency the
-        // first time a period crosses a fan-out gate.
-        bbmg_core::pool::warm_up(options.learn.parallelism.get());
         Supervisor {
             options,
             shards: BTreeMap::new(),

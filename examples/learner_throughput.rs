@@ -1,29 +1,21 @@
 //! Measures the packed-lattice kernels against their scalar per-cell
-//! equivalents and the learner's wall time across thread counts, and
-//! writes the `BENCH_learner.json` artifact.
+//! equivalents and the learner's wall time on two workloads, and writes
+//! the `BENCH_learner.json` artifact.
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! * **kernels** — `leq`, `join`, and `weight` on packed 24-task
 //!   matrices: a scalar reference that walks every cell through
 //!   [`DependencyValue`]'s table ops (the way the pre-packed store did)
 //!   against the packed word kernels.
-//! * **pool** — a cold worker-pool spin-up (spawn threads, dispatch,
-//!   collect) against a warm dispatch to already-parked workers, the
-//!   per-fan-out cost the persistent pool removed from the hot path.
-//! * **workloads** — full learn runs at 1, 2, and 4 threads. Results
-//!   are byte-identical at every thread count (see
-//!   `tests/determinism.rs`); only the wall time may differ, and only
-//!   when the host actually has spare cores — `cpu_threads` records
-//!   what this machine offered, so a 1-core container's flat numbers
-//!   read as what they are (the pool's `provision` clamp keeps them
-//!   within noise of the 1-thread row). The thread counts are timed
-//!   round-robin, one run each per iteration, so a stretch of host
-//!   load lands on every row instead of on one.
+//! * **workloads** — full learn runs: an exact blow-up and a bounded
+//!   random design. The two are timed round-robin, one run each per
+//!   iteration, so a stretch of host load lands on both instead of on
+//!   one. `cpu_threads` records what the host offered; the learner runs
+//!   on one of them.
 //!
-//! The artifact is written only if it meets the `bbmg_bench::rules`
-//! floors, among them the parallel regression guard: every multi-thread
-//! row's best iteration within 0.95x of the 1-thread median.
+//! The artifact is written only if it passes the `bbmg_bench::rules`
+//! shape checks.
 //!
 //! Run with: `cargo run --release --example learner_throughput`
 //! (pass `--quick` for the CI smoke variant: fewer iterations, smaller
@@ -31,9 +23,6 @@
 //!
 //! [`DependencyValue`]: bbmg::lattice::DependencyValue
 
-use std::sync::{Arc, Barrier};
-
-use bbmg::core::pool::WorkerPool;
 use bbmg::core::{learn, LearnOptions};
 use bbmg::lattice::{DependencyFunction, DependencyValue, TaskId, TaskUniverse};
 use bbmg::obs::json::Json;
@@ -44,12 +33,6 @@ use bbmg_bench::runner::{cpu_threads, median, round, round_robin, time_micros, w
 
 /// Kernel-section matrix size: 24 tasks = 576 cells = 28 packed words.
 const KERNEL_TASKS: usize = 24;
-
-/// Worker count for the pool section's cold-vs-warm comparison.
-const POOL_WORKERS: usize = 3;
-
-/// Dispatches per timed pool sample.
-const POOL_DISPATCHES: usize = 50;
 
 fn iterations(quick: bool) -> usize {
     if quick {
@@ -144,9 +127,8 @@ fn scalar_weight(a: &DependencyFunction) -> u64 {
     total
 }
 
-/// One period with `width` possible senders and receivers per message:
-/// the exact algorithm's branching fan-out crosses the learner's
-/// parallel threshold.
+/// One period with `width` possible senders and receivers per message,
+/// on which the exact algorithm's branching blows up.
 fn blowup_trace(width: usize, messages: usize) -> Trace {
     let names: Vec<String> = (0..width)
         .map(|i| format!("s{i}"))
@@ -300,100 +282,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // --- pool ----------------------------------------------------------
-    // Cold: spin a fresh pool up to POOL_WORKERS and run POOL_DISPATCHES
-    // scatters through it — what every fan-out paid when workers were
-    // scoped-spawned per call. Warm: the same dispatches against a pool
-    // whose workers are already parked. Cold pools leak their parked
-    // workers for the life of this process (the pool has no shutdown —
-    // learners share one global pool forever), so cold is sampled once
-    // per iteration, not per rep.
-    // Every job rendezvouses on a barrier so a dispatch only completes
-    // once all POOL_WORKERS workers have actually woken and run a job.
-    // Without the rendezvous the caller drains trivial jobs inline
-    // before freshly spawned workers are ever scheduled, and "cold"
-    // never pays for the spawn it is supposed to measure.
-    let rendezvous = Arc::new(Barrier::new(POOL_WORKERS + 1));
-    let pool_job_sets = || -> Vec<Vec<_>> {
-        (0..POOL_DISPATCHES)
-            .map(|_| {
-                (0..POOL_WORKERS + 1)
-                    .map(|_| {
-                        let rendezvous = Arc::clone(&rendezvous);
-                        move || {
-                            rendezvous.wait();
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-    let cold_spawn = median(&time_micros(iters, || {
-        let pool = WorkerPool::new();
-        pool.ensure_workers(POOL_WORKERS);
-        for jobs in pool_job_sets() {
-            std::hint::black_box(pool.scatter(jobs));
-        }
-    }));
-    let warm_pool = WorkerPool::new();
-    warm_pool.ensure_workers(POOL_WORKERS);
-    let warm_dispatch = median(&time_micros(iters, || {
-        for jobs in pool_job_sets() {
-            std::hint::black_box(warm_pool.scatter(jobs));
-        }
-    }));
-    let pool_speedup = cold_spawn as f64 / warm_dispatch.max(1) as f64;
-    println!(
-        "\nworker pool ({POOL_WORKERS} workers, {POOL_DISPATCHES} dispatches): cold {cold_spawn} us, warm {warm_dispatch} us, {pool_speedup:.1}x"
-    );
-
     // --- workloads -----------------------------------------------------
-    let thread_counts = [1usize, 2, 4];
     let (blowup_width, blowup_messages) = if quick { (6, 2) } else { (8, 2) };
     let exact_trace = blowup_trace(blowup_width, blowup_messages);
     let bounded_trace = random_workload(10, if quick { 10 } else { 30 });
     let workloads = [
-        (
-            "exact_blowup",
-            round_robin(iters, &thread_counts, |_, &threads| {
-                learn(
-                    &exact_trace,
-                    LearnOptions::exact().with_parallelism(threads),
-                )
-                .expect("learns");
-            }),
-        ),
-        (
-            "bounded_random",
-            round_robin(iters, &thread_counts, |_, &threads| {
-                learn(
-                    &bounded_trace,
-                    LearnOptions::bounded(64).with_parallelism(threads),
-                )
-                .expect("learns");
-            }),
-        ),
+        ("exact_blowup", &exact_trace, LearnOptions::exact()),
+        ("bounded_random", &bounded_trace, LearnOptions::bounded(64)),
     ];
+    let samples = round_robin(iters, &workloads, |_, &(_, trace, options)| {
+        learn(trace, options).expect("learns");
+    });
 
-    println!("\nlearner wall time by thread count (median of {iters}, {cpu_threads} CPU thread(s) available):");
+    println!("\nlearner wall time (median of {iters}, {cpu_threads} CPU thread(s) available):");
     let mut workload_docs = Vec::new();
-    for (name, rows) in &workloads {
-        let base = median(&rows[0]).max(1);
-        let mut row_docs = Vec::new();
-        for (threads, micros) in thread_counts.iter().zip(rows) {
-            let med = median(micros);
-            let speedup = base as f64 / med.max(1) as f64;
-            println!("{name:<16} threads={threads} {med:>10} us  {speedup:>5.2}x vs 1 thread");
-            row_docs.push(Json::object([
-                ("threads", (*threads).into()),
-                ("median_micros", med.into()),
-                ("micros", micros.clone().into()),
-                ("speedup_vs_1", round(speedup, 2).into()),
-            ]));
-        }
+    for ((name, _, _), micros) in workloads.iter().zip(samples) {
+        let med = median(&micros);
+        println!("{name:<16} {med:>10} us");
         workload_docs.push(Json::object([
             ("name", (*name).into()),
-            ("threads", row_docs.into()),
+            ("median_micros", med.into()),
+            ("micros", micros.into()),
         ]));
     }
 
@@ -417,19 +326,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .collect::<Vec<_>>()
                 .into(),
         ),
-        (
-            "pool",
-            Json::object([
-                ("workers", POOL_WORKERS.into()),
-                ("dispatches", POOL_DISPATCHES.into()),
-                ("cold_spawn_micros", cold_spawn.into()),
-                ("warm_dispatch_micros", warm_dispatch.into()),
-                ("speedup", round(pool_speedup, 2).into()),
-            ]),
-        ),
         ("workloads", workload_docs.into()),
     ]);
     write_artifact("BENCH_learner.json", &document)?;
-    println!("\nwrote BENCH_learner.json (parallel regression guard and floors passed)");
+    println!("\nwrote BENCH_learner.json");
     Ok(())
 }

@@ -17,6 +17,12 @@
 //!    appears only in `crates/obs/src/json.rs`. Everything else reads
 //!    hex through `bbmg_obs::json::hex_u64`, which accepts only the 16
 //!    lower-case digits our writers emit.
+//! 6. One place starts threads: in non-test code, `thread::scope`,
+//!    `thread::spawn` and `thread::Builder` appear only in
+//!    `crates/cli/src/commands.rs`, where `bbmg corpus` parses and learns
+//!    whole files side by side. The learner is sequential; a fan-out
+//!    inside it first needs a committed benchmark row that crosses its
+//!    gate and wins at 2 threads.
 //!
 //! Run with: `cargo run --example tidy` — exits nonzero on any finding.
 //! CI runs this next to clippy.
@@ -32,7 +38,6 @@ const EXPECT_ALLOWLIST: &[&str] = &[
     "crates/core/src/incremental.rs",
     "crates/core/src/learner.rs",
     "crates/core/src/options.rs",
-    "crates/core/src/pool.rs",
     "crates/lattice/src/arena.rs",
     "crates/lattice/src/task.rs",
     "crates/moc/src/model.rs",
@@ -51,6 +56,17 @@ const EXPECT_ALLOWLIST: &[&str] = &[
 
 /// The one file allowed to parse hex with `from_str_radix` (rule 5).
 const HEX_READER: &str = "crates/obs/src/json.rs";
+
+/// The one file allowed to start threads (rule 6).
+const THREAD_STARTER: &str = "crates/cli/src/commands.rs";
+
+/// The calls that start threads (rule 6), spelled in two halves so this
+/// file does not match them itself.
+const THREAD_STARTS: [[&str; 2]; 3] = [
+    ["thread::", "scope("],
+    ["thread::", "spawn("],
+    ["thread::", "Builder"],
+];
 
 /// Each schema tag with the one file allowed to spell it out (the
 /// constant's definition site). `crates/cli/src/args.rs` additionally
@@ -223,6 +239,26 @@ fn main() {
                 findings.push(format!(
                     "{path}:{number}: hex parsed with `from_str_radix` — use \
                      `bbmg_obs::json::hex_u64` ({HEX_READER} is the one hex reader)"
+                ));
+            }
+        }
+    }
+
+    // Rule 6: one place starts threads.
+    for source in &tag_scan {
+        let path = rel(source);
+        if path == THREAD_STARTER {
+            continue;
+        }
+        let text = fs::read_to_string(source).unwrap_or_default();
+        for (number, line) in code_lines(&text) {
+            if THREAD_STARTS
+                .iter()
+                .any(|call| line.contains(&call.concat()))
+            {
+                findings.push(format!(
+                    "{path}:{number}: thread started outside {THREAD_STARTER} — the \
+                     learner runs on one thread"
                 ));
             }
         }

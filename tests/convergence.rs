@@ -67,7 +67,6 @@ fn bound_one_always_converges() {
 }
 
 #[test]
-#[ignore = "GM-scale exhaustive run (~25-100s); covered by the scheduled slow-suite CI job"]
 fn case_study_converges_at_every_paper_bound() {
     // The paper's table runs converged for every bound (a single
     // dependency function was reported); ours do too.

@@ -1,14 +1,13 @@
 //! Cross-crate integration for the bulk-ingest pipeline: the model cache
-//! must be a pure accelerator (hit paths byte-identical to cold learns at
-//! every thread count), and the binary trace format must round-trip every
-//! workload generator losslessly — including traces recovered from
-//! fault-injected captures via the repair pipeline.
+//! must be a pure accelerator (hit paths byte-identical to cold learns),
+//! and the binary trace format must round-trip every workload generator
+//! losslessly — including traces recovered from fault-injected captures
+//! via the repair pipeline.
 
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
-use bbmg::core::pool::WorkerPool;
-use bbmg::core::{learn, trace_fingerprints, CacheHit, LearnOptions, ModelCache};
+use bbmg::core::{learn, CacheHit, LearnOptions, ModelCache};
 use bbmg::sim::{inject_faults, FaultConfig};
 use bbmg::trace::{parse_btrace, parse_csv, repair, write_btrace, write_csv, Trace};
 use bbmg::workloads::random::{random_trace, RandomModelConfig};
@@ -34,8 +33,7 @@ fn bounded_workload() -> Trace {
     .trace
 }
 
-/// Learns `trace` through a fresh cache at the given parallelism and
-/// returns the (miss, full-hit, prefix-seeded) results.
+/// Learns `trace` through a fresh cache with `options` and returns the (miss, full-hit, prefix-seeded) results.
 fn cache_triple(
     name: &str,
     trace: &Trace,
@@ -73,46 +71,23 @@ fn cache_triple(
 }
 
 #[test]
-fn cache_paths_are_identical_to_cold_learn_at_every_thread_count() {
+fn cache_paths_are_identical_to_cold_learn() {
     let trace = bounded_workload();
-    let baseline = learn(&trace, LearnOptions::bounded(32)).unwrap();
-
-    // Force real cross-thread execution even on a single-core host: the
-    // pool otherwise clamps `provision(4)` to the hardware and the
-    // 4-thread run would silently degenerate to the sequential path.
-    WorkerPool::global().ensure_workers(3);
-
-    for threads in [1usize, 4] {
-        let options = LearnOptions::bounded(32).with_parallelism(threads);
-        let name = format!("threads{threads}");
-        let (cold, full, seeded) = cache_triple(&name, &trace, options);
-        for (path, learned) in [("cold", &cold), ("full", &full), ("prefix", &seeded)] {
-            assert_eq!(
-                baseline.hypotheses(),
-                learned.result.hypotheses(),
-                "{threads}-thread {path} path diverged from the cold learn"
-            );
-            assert_eq!(
-                baseline.stats(),
-                learned.result.stats(),
-                "{threads}-thread {path} path reported different stats"
-            );
-        }
+    let options = LearnOptions::bounded(32);
+    let baseline = learn(&trace, options).unwrap();
+    let (cold, full, seeded) = cache_triple("bounded", &trace, options);
+    for (path, learned) in [("cold", &cold), ("full", &full), ("prefix", &seeded)] {
+        assert_eq!(
+            baseline.hypotheses(),
+            learned.result.hypotheses(),
+            "{path} path diverged from the cold learn"
+        );
+        assert_eq!(
+            baseline.stats(),
+            learned.result.stats(),
+            "{path} path reported different stats"
+        );
     }
-}
-
-#[test]
-fn fingerprints_ignore_parallelism() {
-    // The cache key deliberately excludes the thread count — results are
-    // identical at every setting, so an entry learned single-threaded must
-    // be served to a 4-thread run.
-    let trace = simple::figure_2_trace();
-    let one = LearnOptions::bounded(32).with_parallelism(1);
-    let four = LearnOptions::bounded(32).with_parallelism(4);
-    assert_eq!(
-        trace_fingerprints(&trace, &one),
-        trace_fingerprints(&trace, &four)
-    );
 }
 
 /// Every generator's trace, including one recovered from a fault-injected

@@ -19,7 +19,6 @@ fn gm_trace(periods: usize, seed: u64) -> Trace {
 }
 
 #[test]
-#[ignore = "GM-scale exhaustive run (~25-100s); covered by the scheduled slow-suite CI job"]
 fn set_limit_trip_on_gm_falls_back_to_bounded() {
     let trace = gm_trace(6, 3);
     let options = LearnOptions::exact().with_set_limit(8);

@@ -68,7 +68,6 @@ fn learned_hypotheses_match_the_trace() {
 }
 
 #[test]
-#[ignore = "GM-scale exhaustive run (~25-100s); covered by the scheduled slow-suite CI job"]
 fn learned_model_never_contradicts_semantic_ground_truth() {
     // Every learned unconditional claim must hold in the real design: if
     // the learner says d(a, b) = -> then a implies b in every enumerated
@@ -98,7 +97,6 @@ fn learned_model_never_contradicts_semantic_ground_truth() {
 }
 
 #[test]
-#[ignore = "GM-scale exhaustive run (~25-100s); covered by the scheduled slow-suite CI job"]
 fn accuracy_against_semantic_ground_truth_is_reported() {
     let model = gm::gm_model();
     let trace = gm::gm_trace(2007).unwrap().trace;
@@ -113,8 +111,8 @@ fn accuracy_against_semantic_ground_truth_is_reported() {
     // a few pairs may come out more specific than the design intends when
     // the trace underdetermines them (paper footnote 3: "the dependency
     // functions learned will be more specific than the dependencies
-    // intended in the model's design") — e.g. the N->P link, for which a
-    // dominating explanation without the attribution exists.
+    // intended in the model's design"). Seed 2007 at bound 100 reads 126
+    // exact, 180 generalized and 0 specialized pairs.
     assert_eq!(acc.incomparable, 0, "{acc:?}");
     assert!(acc.specialized <= 6, "{acc:?}");
     assert!(
@@ -124,7 +122,6 @@ fn accuracy_against_semantic_ground_truth_is_reported() {
 }
 
 #[test]
-#[ignore = "GM-scale exhaustive run (~25-100s); covered by the scheduled slow-suite CI job"]
 fn operation_modes_of_the_mode_selectors_are_observed() {
     // §3.4 proves the "operation mode of tasks": A and B each choose among
     // two mode tasks, so with enough periods all three nonempty subsets
@@ -148,7 +145,6 @@ fn operation_modes_of_the_mode_selectors_are_observed() {
 }
 
 #[test]
-#[ignore = "GM-scale exhaustive run (~25-100s); covered by the scheduled slow-suite CI job"]
 fn different_seeds_learn_the_same_must_dependencies() {
     // Scheduler nondeterminism varies the trace but must never flip a
     // proven unconditional dependency of the published properties.

@@ -49,7 +49,6 @@ fn learned_model_excludes_o_from_q_interference() {
 }
 
 #[test]
-#[ignore = "GM-scale exhaustive run (~25-100s); covered by the scheduled slow-suite CI job"]
 fn informed_bound_is_strictly_better_on_the_critical_path() {
     let (analysis, d, path) = case_study_latency();
     let bound = analysis.end_to_end(&path, &d);
@@ -67,7 +66,6 @@ fn informed_bound_is_strictly_better_on_the_critical_path() {
 }
 
 #[test]
-#[ignore = "GM-scale exhaustive run (~25-100s); covered by the scheduled slow-suite CI job"]
 fn informed_bound_is_valid_at_every_prefix() {
     // Note the informed bound is NOT monotone in observation length: a new
     // period can weaken a previously proven serialization (a task finally

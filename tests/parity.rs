@@ -30,7 +30,9 @@
 //! the degrading engine to agree with `robust_learn_with` on the
 //! limit-1024 designs: checkpoint and resume at every split, the model
 //! cache's three paths, and a serve shard. A second one does the same for
-//! runs that a step budget stops early.
+//! runs that a step budget stops early. A third feeds several learners
+//! alternately, as serve feeds its shards, and compares each with an
+//! isolated `learn`.
 
 use std::num::NonZeroUsize;
 
@@ -39,12 +41,13 @@ use bbmg::core::{
     Checkpoint, IncrementalLearner, LearnError, LearnOptions, LearnResult, MergeAssumptions,
     ModelCache, OnInconsistent,
 };
+use bbmg::lattice::{TaskId, TaskUniverse};
 use bbmg::obs::{Event, NoopObserver, Recorder};
 use bbmg::serve::{ServeOptions, StreamShard, WireKind};
 use bbmg::sim::{inject_faults, FaultConfig};
-use bbmg::trace::{parse_csv_lenient, write_csv_raw, EventKind, Trace};
-use bbmg::workloads::gm;
+use bbmg::trace::{parse_csv_lenient, write_csv_raw, EventKind, Timestamp, Trace, TraceBuilder};
 use bbmg::workloads::random::{random_trace, RandomModelConfig};
+use bbmg::workloads::{gm, simple};
 
 /// splitmix64-style fold of a stream of words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -482,4 +485,90 @@ fn entry_points_agree_under_a_step_budget() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One period over a 20-task universe in which 10 tasks run before
+/// `messages` messages and 10 after, so every message has 100 candidate
+/// pairs. Two messages blow the exact learner up past one
+/// [`bbmg::core::BUDGET_SAMPLE_INTERVAL`]. At bound 64 with six messages,
+/// the last two start from 64 rows of which only 33 are distinct, so the
+/// repeated rows are skipped and not branched.
+fn wide_blowup_trace_with(messages: u64) -> Trace {
+    let width = 10usize;
+    let names: Vec<String> = (0..width)
+        .map(|i| format!("s{i}"))
+        .chain((0..width).map(|i| format!("r{i}")))
+        .collect();
+    let u = TaskUniverse::from_names(names);
+    let senders: Vec<TaskId> = (0..width)
+        .map(|i| u.lookup(&format!("s{i}")).unwrap())
+        .collect();
+    let receivers: Vec<TaskId> = (0..width)
+        .map(|i| u.lookup(&format!("r{i}")).unwrap())
+        .collect();
+    let mut b = TraceBuilder::new(u);
+    b.begin_period();
+    for (i, s) in senders.iter().enumerate() {
+        b.event(Timestamp::new(i as u64), EventKind::TaskStart(*s))
+            .unwrap();
+    }
+    for (i, s) in senders.iter().enumerate() {
+        b.event(Timestamp::new(10 + i as u64), EventKind::TaskEnd(*s))
+            .unwrap();
+    }
+    for m in 0..messages {
+        b.message(Timestamp::new(30 + 2 * m), Timestamp::new(31 + 2 * m))
+            .unwrap();
+    }
+    for (i, r) in receivers.iter().enumerate() {
+        b.event(Timestamp::new(60 + i as u64), EventKind::TaskStart(*r))
+            .unwrap();
+    }
+    for (i, r) in receivers.iter().enumerate() {
+        b.event(Timestamp::new(70 + i as u64), EventKind::TaskEnd(*r))
+            .unwrap();
+    }
+    b.end_period().unwrap();
+    b.finish()
+}
+
+/// Serve-style use: several `IncrementalLearner`s alive at once and fed
+/// period by period in turn, as `bbmg serve` feeds its shards. Each must
+/// end exactly where an isolated `learn` of its trace ends, hypotheses
+/// and statistics alike: no learner may carry state into another.
+#[test]
+fn interleaved_learners_match_isolated_runs() {
+    let runs = [
+        (wide_blowup_trace_with(2), LearnOptions::exact()),
+        (simple::figure_2_trace(), LearnOptions::exact()),
+        (wide_blowup_trace_with(6), LearnOptions::bounded(64)),
+    ];
+    let isolated: Vec<LearnResult> = runs
+        .iter()
+        .map(|(trace, options)| learn(trace, *options).expect("learns"))
+        .collect();
+    assert!(isolated[0].stats().hypotheses_generated >= 1024);
+    assert!(isolated[2].stats().merges > 0, "the bound must overflow");
+
+    let mut learners: Vec<IncrementalLearner> = runs
+        .iter()
+        .map(|(trace, options)| IncrementalLearner::new(trace.task_count(), *options))
+        .collect();
+    let longest = runs.iter().map(|(trace, _)| trace.periods().len()).max();
+    for i in 0..longest.unwrap_or(0) {
+        for ((trace, _), learner) in runs.iter().zip(&mut learners) {
+            if let Some(period) = trace.periods().get(i) {
+                learner.push_period(period).expect("learns");
+            }
+        }
+    }
+    for (i, (learner, expected)) in learners.into_iter().zip(&isolated).enumerate() {
+        let got = learner.finish();
+        assert_eq!(
+            got.hypotheses(),
+            expected.hypotheses(),
+            "run {i} hypotheses"
+        );
+        assert_eq!(got.stats(), expected.stats(), "run {i} stats");
+    }
 }

@@ -16,7 +16,6 @@ fn worked_example_state_space_shrinks() {
 }
 
 #[test]
-#[ignore = "GM-scale exhaustive run (~25-100s); covered by the scheduled slow-suite CI job"]
 fn case_study_state_space_shrinks_by_orders_of_magnitude() {
     let trace = gm::gm_trace(2007).unwrap().trace;
     let result = learn(&trace, LearnOptions::bounded(64)).unwrap();
@@ -30,7 +29,6 @@ fn case_study_state_space_shrinks_by_orders_of_magnitude() {
 }
 
 #[test]
-#[ignore = "GM-scale exhaustive run (~25-100s); covered by the scheduled slow-suite CI job"]
 fn constrained_space_never_exceeds_unconstrained() {
     for seed in [1u64, 2, 3] {
         let trace = gm::gm_trace(seed).unwrap().trace;
